@@ -52,6 +52,28 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
+/// Heap allocations of one warm answered location query, counted at the
+/// allocator: Cloudflare's `id.server` over IPv4 through the clean home,
+/// from the cached encode through every hop and the site's reply to the
+/// response the transport accepts and materializes. The responder side is
+/// allocation-free (`crates/bench/tests/zero_alloc.rs` pins it); what
+/// remains is the stub's owned copy of the accepted response.
+fn warm_answered_query_allocs() -> u64 {
+    use std::sync::atomic::Ordering;
+    let mut transport = SimTransport::new(HomeScenario::clean().build());
+    let cloudflare = &default_resolvers()[0];
+    let question = cloudflare.location_query();
+    let opts = QueryOptions::default();
+    for txid in 0..4 {
+        transport.query(cloudflare.v4[0], &question, 0x7000 + txid, opts);
+    }
+    let before = ALLOC_COUNT.load(Ordering::Relaxed);
+    let outcome = transport.query(cloudflare.v4[0], &question, 0x7100, opts);
+    let allocs = ALLOC_COUNT.load(Ordering::Relaxed) - before;
+    assert!(outcome.response().is_some(), "the clean home answers Cloudflare's location query");
+    allocs
+}
+
 struct Args {
     table: Option<u32>,
     figure: Option<u32>,
@@ -598,16 +620,14 @@ fn run_bench_json(args: &Args) {
         probes: single.len(),
         allocs_per_probe: (alloc_after.0 - alloc_before.0) as f64 / single.len().max(1) as f64,
         bytes_per_probe: (alloc_after.1 - alloc_before.1) as f64 / single.len().max(1) as f64,
-        // The probe *wire* path — cached encode, pooled payload, packet
-        // forwarding, borrowed-view receive filter — allocates nothing
-        // once warm; `crates/bench/tests/zero_alloc.rs` pins this at the
-        // allocator. The per-probe numbers above are the remaining world
-        // build + verdict + aggregation cost.
-        steady_state_wire_path_allocs: 0,
+        steady_state_wire_path_allocs: warm_answered_query_allocs(),
     };
     eprintln!(
-        "bench: single-thread allocations — {:.0} allocs/probe ({:.0} B/probe)",
-        per_probe_allocs.allocs_per_probe, per_probe_allocs.bytes_per_probe
+        "bench: single-thread allocations — {:.0} allocs/probe ({:.0} B/probe), \
+         {} per warm answered query",
+        per_probe_allocs.allocs_per_probe,
+        per_probe_allocs.bytes_per_probe,
+        per_probe_allocs.steady_state_wire_path_allocs
     );
     let t = Instant::now();
     let chunked = run_campaign_chunked(&fleet, threads, None);

@@ -5,17 +5,22 @@
 //! capacity — a probe query that crosses the simulated home and dies
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
-//! filter are all allocation-free. The same counter also pins the
-//! component pieces individually, so a regression report names the layer
-//! that started allocating rather than just "the path".
+//! filter are all allocation-free. An *answered* location query must not
+//! allocate on the responder side either: each public resolver's site
+//! parses the query as a view, writes its reply in place and copies it
+//! into the payload pool. The same counter also pins the component pieces
+//! individually, so a regression report names the layer that started
+//! allocating rather than just "the path".
 //!
 //! Everything runs inside one `#[test]` because the counter is a process
 //! global; parallel test threads would bleed into each other's deltas.
 
-use dns_wire::{Message, MessageView, Name, QueryEncoder, Question, RType};
+use dns_wire::{Message, MessageView, Name, QueryEncoder, Question, RType, Rcode};
 use interception::{HomeScenario, ProbeTimingLog, SimTransport, Vantage};
-use locator::{QueryOptions, QueryTransport};
-use netsim::PayloadPool;
+use locator::{default_resolvers, QueryOptions, QueryTransport};
+use netsim::{Delivery, Host, IfaceId, IpPacket, PayloadPool, SimDuration, Simulator};
+use resolver_sim::{PublicBrand, PublicResolverSite, ResolveCtx, ZoneDb};
+use std::sync::Arc;
 use timing::{AtomicHistogram, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::IpAddr;
@@ -70,6 +75,51 @@ fn steady_state_probe_path_allocates_nothing() {
         "steady-state probe wire path allocated {allocs} times; \
          the hot path must be allocation-free once warm"
     );
+
+    // --- Responder side of an answered location query, for each of the
+    // four public resolvers: the site's receive (view parse), its reply
+    // write (header, question and answers straight into the scratch,
+    // ZoneDb handing Google's reflector answer to the writer) and the copy
+    // into the payload pool. The client drains into a warm buffer, so the
+    // counted round is the responder plus netsim's own dispatch.
+    let zonedb = Arc::new(ZoneDb::standard_world());
+    for (resolver, brand) in default_resolvers().into_iter().zip(PublicBrand::ALL) {
+        let mut sim = Simulator::new(1);
+        let client_addr: IpAddr = "73.1.1.1".parse().unwrap();
+        let client = sim.add_device(Host::boxed("client", [client_addr]));
+        let site = sim.add_device(PublicResolverSite::boxed(
+            brand,
+            resolver.v4.iter().copied(),
+            "IAD",
+            84,
+            ResolveCtx::v4("172.253.226.35".parse().unwrap()),
+            Arc::clone(&zonedb),
+        ));
+        sim.connect((client, IfaceId(0)), (site, IfaceId(0)), SimDuration::from_millis(1));
+        let question = resolver.location_query();
+        let mut encoder = QueryEncoder::new();
+        let mut inbox: Vec<Delivery> = Vec::new();
+        let mut ask = |sim: &mut Simulator, inbox: &mut Vec<Delivery>, txid: u16| {
+            let payload = sim.alloc_payload(encoder.encode_query(txid, &question).unwrap());
+            let query = IpPacket::udp(client_addr, resolver.v4[0], 40000, 53, payload).unwrap();
+            sim.inject(client, IfaceId(0), query);
+            sim.run_to_quiescence();
+            sim.device_mut::<Host>(client).unwrap().drain_inbox_into(inbox);
+        };
+        for txid in 0..4 {
+            ask(&mut sim, &mut inbox, 0x7000 + txid);
+        }
+        let (allocs, ()) = allocations_in(|| ask(&mut sim, &mut inbox, 0x7100));
+        let reply = Message::parse(&inbox[0].packet.udp_payload().unwrap().payload).unwrap();
+        assert_eq!(inbox.len(), 1, "{brand:?}");
+        assert_eq!(reply.header.id, 0x7100, "{brand:?}");
+        assert_eq!(reply.header.rcode, Rcode::NoError, "{brand:?}");
+        assert!(!reply.answers.is_empty(), "{brand:?} location query went unanswered");
+        assert_eq!(
+            allocs, 0,
+            "{brand:?}: warm answered location query allocated {allocs} times on the responder side"
+        );
+    }
 
     // --- Component: cached query encoding re-stamps the txid in place.
     let mut encoder = QueryEncoder::new();

@@ -180,8 +180,7 @@ mod tests {
 
     #[test]
     fn loopback_roundtrip() {
-        let mut t = UdpTransport::default();
-        t.port = spawn_loopback_server(1, false);
+        let mut t = UdpTransport { port: spawn_loopback_server(1, false), ..Default::default() };
         let out = t.query("127.0.0.1".parse().unwrap(), &a_question(), 0x5244, opts(2_000));
         let resp = out.response().expect("loopback answer");
         assert_eq!(resp.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
@@ -192,8 +191,7 @@ mod tests {
 
     #[test]
     fn mismatched_txid_is_rejected_until_timeout() {
-        let mut t = UdpTransport::default();
-        t.port = spawn_loopback_server(1, true);
+        let mut t = UdpTransport { port: spawn_loopback_server(1, true), ..Default::default() };
         let out = t.query("127.0.0.1".parse().unwrap(), &a_question(), 0x5244, opts(300));
         assert!(out.is_timeout());
         assert_eq!(t.received, 0);
@@ -231,8 +229,7 @@ mod tests {
 
     #[test]
     fn wrong_source_reply_is_flagged_not_silently_accepted() {
-        let mut t = UdpTransport::default();
-        t.port = spawn_wrong_source_server(1);
+        let mut t = UdpTransport { port: spawn_wrong_source_server(1), ..Default::default() };
         let out = t.query("127.0.0.1".parse().unwrap(), &a_question(), 0x5244, opts(400));
         assert!(out.response().is_none(), "a wrong-source reply must not be accepted");
         assert_eq!(out.wrong_source(), Some("127.0.0.2".parse().unwrap()));
@@ -250,8 +247,8 @@ mod tests {
     fn dead_server_times_out() {
         // A bound-but-never-answering socket.
         let silent = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut t = UdpTransport::default();
-        t.port = silent.local_addr().unwrap().port();
+        let port = silent.local_addr().unwrap().port();
+        let mut t = UdpTransport { port, ..Default::default() };
         let started = Instant::now();
         let out = t.query("127.0.0.1".parse().unwrap(), &a_question(), 0x5244, opts(200));
         assert!(out.is_timeout());
@@ -264,8 +261,7 @@ mod tests {
         // (rejected in the transport), the second query gets... also a bad
         // ID — so even with retries the outcome stays Timeout, proving the
         // pipeline never accepts a mismatched response.
-        let mut t = UdpTransport::default();
-        t.port = spawn_loopback_server(2, true);
+        let mut t = UdpTransport { port: spawn_loopback_server(2, true), ..Default::default() };
         let mut txids = TxidSequence::new(0x5244);
         let r = query_with_retry(
             &mut t,

@@ -24,6 +24,7 @@
 use crate::message::{Message, Question};
 use crate::name::Name;
 use crate::types::{RClass, RType};
+use crate::view::QuestionView;
 use std::sync::OnceLock;
 
 /// Interns a fixed name: parsed once per process, every caller gets a
@@ -86,20 +87,6 @@ pub fn hostname_bind_query(id: u16) -> Message {
     Message::query(id, Question::chaos_txt(hostname_bind()))
 }
 
-/// True if `q` is one of the CHAOS-class server-identification questions
-/// (`version.bind`, `id.server`, `hostname.bind`, or their `.server`/`.bind`
-/// cross-spellings, all of which BIND-like software accepts).
-pub fn is_server_id_question(q: &Question) -> bool {
-    if q.qclass != RClass::Chaos || !matches!(q.qtype, RType::Txt | RType::Any) {
-        return false;
-    }
-    let name = q.qname.to_string().to_ascii_lowercase();
-    matches!(
-        name.as_str(),
-        "version.bind." | "id.server." | "hostname.bind." | "version.server." | "id.bind."
-    )
-}
-
 /// Which server-identification question a CHAOS query is asking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerIdKind {
@@ -109,17 +96,46 @@ pub enum ServerIdKind {
     Identity,
 }
 
+/// The five server-identification names BIND-like software accepts, in
+/// canonical wire form.
+const SERVER_ID_NAMES: [(&[u8], ServerIdKind); 5] = [
+    (b"\x07version\x04bind\x00", ServerIdKind::Version),
+    (b"\x07version\x06server\x00", ServerIdKind::Version),
+    (b"\x02id\x06server\x00", ServerIdKind::Identity),
+    (b"\x08hostname\x04bind\x00", ServerIdKind::Identity),
+    (b"\x02id\x04bind\x00", ServerIdKind::Identity),
+];
+
+/// Classifies by class, type and a case-insensitive wire-name test. Every
+/// responder calls this per query, so it compares labels in place instead
+/// of rendering the name to text.
+fn classify(
+    qclass: RClass,
+    qtype: RType,
+    name_is: impl Fn(&[u8]) -> bool,
+) -> Option<ServerIdKind> {
+    if qclass != RClass::Chaos || !matches!(qtype, RType::Txt | RType::Any) {
+        return None;
+    }
+    SERVER_ID_NAMES.iter().find(|(wire, _)| name_is(wire)).map(|&(_, kind)| kind)
+}
+
+/// True if `q` is one of the CHAOS-class server-identification questions
+/// (`version.bind`, `id.server`, `hostname.bind`, or their `.server`/`.bind`
+/// cross-spellings, all of which BIND-like software accepts).
+pub fn is_server_id_question(q: &Question) -> bool {
+    server_id_kind(q).is_some()
+}
+
 /// Classifies a CHAOS question into version vs identity, or `None` if it is
 /// not a server-identification question.
 pub fn server_id_kind(q: &Question) -> Option<ServerIdKind> {
-    if !is_server_id_question(q) {
-        return None;
-    }
-    let name = q.qname.to_string().to_ascii_lowercase();
-    match name.as_str() {
-        "version.bind." | "version.server." => Some(ServerIdKind::Version),
-        _ => Some(ServerIdKind::Identity),
-    }
+    classify(q.qclass, q.qtype, |wire| q.qname.as_wire().eq_ignore_ascii_case(wire))
+}
+
+/// [`server_id_kind`] for a question still inside a received message.
+pub fn server_id_kind_view(q: &QuestionView<'_>) -> Option<ServerIdKind> {
+    classify(q.qclass, q.qtype, |wire| q.qname.eq_wire(wire))
 }
 
 #[cfg(test)]
@@ -163,6 +179,56 @@ mod tests {
     fn case_insensitive_names() {
         let q = Question::chaos_txt("VERSION.BIND".parse().unwrap());
         assert_eq!(server_id_kind(&q), Some(ServerIdKind::Version));
+    }
+
+    #[test]
+    fn server_id_names_compare_by_wire_labels() {
+        let spellings = [
+            ("version.bind", ServerIdKind::Version),
+            ("version.server", ServerIdKind::Version),
+            ("id.server", ServerIdKind::Identity),
+            ("hostname.bind", ServerIdKind::Identity),
+            ("id.bind", ServerIdKind::Identity),
+        ];
+        for (text, kind) in spellings {
+            for spelled in [text.to_string(), text.to_ascii_uppercase(), mixed_case(text)] {
+                let name: Name = spelled.parse().unwrap();
+                for qtype in [RType::Txt, RType::Any] {
+                    let q = Question { qname: name.clone(), qtype, qclass: RClass::Chaos };
+                    assert_eq!(server_id_kind(&q), Some(kind), "{spelled} {qtype:?}");
+                    assert_eq!(view_kind(&q), Some(kind), "{spelled} {qtype:?} (view)");
+                    assert!(is_server_id_question(&q));
+                }
+                // Wrong class or wrong type: not a server-id question.
+                for q in [
+                    Question { qname: name.clone(), qtype: RType::Txt, qclass: RClass::In },
+                    Question { qname: name.clone(), qtype: RType::A, qclass: RClass::Chaos },
+                ] {
+                    assert_eq!(server_id_kind(&q), None, "{q}");
+                    assert_eq!(view_kind(&q), None, "{q} (view)");
+                }
+            }
+        }
+        let others =
+            ["bind", "version", "version.bind.example", "x.id.server", "hostname.server", "id"];
+        for other in others {
+            let q = Question::chaos_txt(other.parse().unwrap());
+            assert_eq!(server_id_kind(&q), None, "{other}");
+            assert_eq!(view_kind(&q), None, "{other} (view)");
+        }
+    }
+
+    fn mixed_case(s: &str) -> String {
+        s.chars()
+            .enumerate()
+            .map(|(i, c)| if i % 2 == 0 { c.to_ascii_uppercase() } else { c })
+            .collect()
+    }
+
+    fn view_kind(q: &Question) -> Option<ServerIdKind> {
+        let wire = Message::query(1, q.clone()).encode().unwrap();
+        let view = crate::MessageView::parse(&wire).unwrap();
+        server_id_kind_view(&view.question().unwrap())
     }
 
     #[test]

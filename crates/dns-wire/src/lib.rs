@@ -35,6 +35,7 @@ mod error;
 mod message;
 mod name;
 mod rdata;
+mod reply;
 pub mod tcp;
 mod types;
 mod view;
@@ -42,8 +43,9 @@ mod wire;
 
 pub use error::{BuildError, ParseError};
 pub use message::{EncodeScratch, Header, Message, QueryEncoder, Question, Record};
-pub use name::{LabelIter, Name, NameCompressor, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{LabelIter, Name, NameCompressor, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use view::{MessageView, NameRef, QuestionIter, QuestionView, RecordIter, RecordView};
 pub use rdata::{RData, Soa};
+pub use reply::{AnswerData, ReplyWriter};
 pub use types::{Opcode, RClass, RType, Rcode};
 pub use wire::{Reader, Writer};

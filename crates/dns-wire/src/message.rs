@@ -72,33 +72,23 @@ impl Header {
         Ok((header, counts))
     }
 
-    fn encode(&self, w: &mut Writer, counts: [u16; 4]) {
+    /// The 16-bit flags word: QR, opcode, AA, TC, RD, RA, AD, CD, rcode.
+    pub(crate) fn flags(&self) -> u16 {
+        let bit = |set: bool, mask: u16| if set { mask } else { 0 };
+        bit(self.qr, 0x8000)
+            | (self.opcode.to_u8() as u16) << 11
+            | bit(self.aa, 0x0400)
+            | bit(self.tc, 0x0200)
+            | bit(self.rd, 0x0100)
+            | bit(self.ra, 0x0080)
+            | bit(self.ad, 0x0020)
+            | bit(self.cd, 0x0010)
+            | self.rcode.to_u8() as u16
+    }
+
+    pub(crate) fn encode(&self, w: &mut Writer, counts: [u16; 4]) {
         w.write_u16(self.id);
-        let mut flags = 0u16;
-        if self.qr {
-            flags |= 0x8000;
-        }
-        flags |= (self.opcode.to_u8() as u16) << 11;
-        if self.aa {
-            flags |= 0x0400;
-        }
-        if self.tc {
-            flags |= 0x0200;
-        }
-        if self.rd {
-            flags |= 0x0100;
-        }
-        if self.ra {
-            flags |= 0x0080;
-        }
-        if self.ad {
-            flags |= 0x0020;
-        }
-        if self.cd {
-            flags |= 0x0010;
-        }
-        flags |= self.rcode.to_u8() as u16;
-        w.write_u16(flags);
+        w.write_u16(self.flags());
         for c in counts {
             w.write_u16(c);
         }
@@ -184,7 +174,11 @@ impl Record {
         Ok(Record { name, class, ttl, rdata })
     }
 
-    fn encode(&self, w: &mut Writer, compress: &mut NameCompressor) -> Result<(), BuildError> {
+    pub(crate) fn encode(
+        &self,
+        w: &mut Writer,
+        compress: &mut NameCompressor,
+    ) -> Result<(), BuildError> {
         self.name.encode(w, Some(compress));
         w.write_u16(self.rdata.rtype().to_u16());
         w.write_u16(self.class.to_u16());
@@ -370,8 +364,8 @@ impl Message {
 /// serves any number of encodes without fresh buffer allocations.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
-    buf: Vec<u8>,
-    compress: NameCompressor,
+    pub(crate) buf: Vec<u8>,
+    pub(crate) compress: NameCompressor,
 }
 
 impl EncodeScratch {

@@ -181,16 +181,12 @@ impl Name {
     /// compares the remaining suffix bytes directly — no per-call label
     /// collection.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        let mine = self.labels as usize;
-        let theirs = other.labels as usize;
-        if theirs > mine {
-            return false;
-        }
-        let mut pos = 0usize;
-        for _ in 0..mine - theirs {
-            pos += 1 + self.wire[pos] as usize;
-        }
-        self.wire[pos..].eq_ignore_ascii_case(&other.wire)
+        self.as_wire_name().is_subdomain_of(other)
+    }
+
+    /// Borrows this name as a [`WireName`].
+    pub fn as_wire_name(&self) -> WireName<'_> {
+        WireName { wire: &self.wire, labels: self.labels, owned: Some(self) }
     }
 
     /// Returns the parent name (one label stripped), or `None` at the root.
@@ -228,52 +224,119 @@ impl Name {
     /// so the only heap allocation is the final shared buffer.
     pub fn parse(r: &mut Reader<'_>) -> Result<Self, ParseError> {
         let mut buf = [0u8; MAX_NAME_LEN];
-        let mut len = 0usize;
-        let mut labels = 0u8;
-        let complete = walk_name(r, &mut |label| {
-            // walk_name has already checked the 255-octet bound, so these
-            // writes stay inside the stack buffer.
-            buf[len] = label.len() as u8;
-            buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
-            len += 1 + label.len();
-            labels += 1;
-            true
-        })?;
-        debug_assert!(complete, "walk_name never aborts with an always-true visitor");
-        buf[len] = 0;
-        len += 1;
-        Ok(Name { wire: Arc::from(&buf[..len]), labels })
+        let name = decompress(r, &mut buf)?;
+        Ok(Name { wire: Arc::from(name.wire), labels: name.labels })
     }
 
     /// Encodes the name, compressing against previously written names.
     pub fn encode(&self, w: &mut Writer, compress: Option<&mut NameCompressor>) {
         match compress {
-            Some(comp) => self.encode_compressed(w, comp),
+            Some(comp) => encode_compressed(&self.wire, w, comp),
             None => w.write_bytes(&self.wire),
         }
     }
+}
 
-    fn encode_compressed(&self, w: &mut Writer, comp: &mut NameCompressor) {
-        // Walk suffixes from the full name down to the root.
-        let mut pos = 0usize;
-        loop {
-            let suffix = &self.wire[pos..];
-            if suffix == [0] {
-                w.write_u8(0);
-                return;
-            }
-            if let Some(offset) = comp.find(w.as_slice(), suffix) {
-                w.write_u16(0xC000 | offset);
-                return;
-            }
-            let here = w.len();
-            if here <= 0x3FFF {
-                comp.starts.push(here as u16);
-            }
-            let label_len = self.wire[pos] as usize;
-            w.write_bytes(&self.wire[pos..pos + 1 + label_len]);
-            pos += 1 + label_len;
+/// Decompresses the name at the reader's cursor into `buf` (names are at
+/// most 255 octets, so a stack buffer always fits), leaving the cursor as
+/// [`Name::parse`] does.
+pub(crate) fn decompress<'b>(
+    r: &mut Reader<'_>,
+    buf: &'b mut [u8; MAX_NAME_LEN],
+) -> Result<WireName<'b>, ParseError> {
+    let mut len = 0usize;
+    let mut labels = 0u8;
+    let complete = walk_name(r, &mut |label| {
+        // walk_name has already checked the 255-octet bound, so these
+        // writes stay inside the stack buffer.
+        buf[len] = label.len() as u8;
+        buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
+        len += 1 + label.len();
+        labels += 1;
+        true
+    })?;
+    debug_assert!(complete, "walk_name never aborts with an always-true visitor");
+    buf[len] = 0;
+    len += 1;
+    Ok(WireName { wire: &buf[..len], labels, owned: None })
+}
+
+/// Writes the canonical wire name `wire`, compressing against the names
+/// `comp` has seen in this message.
+pub(crate) fn encode_compressed(wire: &[u8], w: &mut Writer, comp: &mut NameCompressor) {
+    // Only names written before this one are candidates: this name's own
+    // label starts point at a suffix chain that is not complete yet.
+    let earlier = comp.starts.len();
+    // Walk suffixes from the full name down to the root.
+    let mut pos = 0usize;
+    loop {
+        let suffix = &wire[pos..];
+        if suffix == [0] {
+            w.write_u8(0);
+            return;
         }
+        if let Some(offset) = comp.find(w.as_slice(), suffix, earlier) {
+            w.write_u16(0xC000 | offset);
+            return;
+        }
+        let here = w.len();
+        if here <= 0x3FFF {
+            comp.starts.push(here as u16);
+        }
+        let label_len = wire[pos] as usize;
+        w.write_bytes(&wire[pos..pos + 1 + label_len]);
+        pos += 1 + label_len;
+    }
+}
+
+/// A borrowed name in canonical wire form: either an owned [`Name`] or a
+/// name decompressed out of a message into a stack buffer
+/// ([`NameRef::to_wire_name`](crate::NameRef::to_wire_name)). Lookups that
+/// start from a received query use it to compare and suffix-match the
+/// query name without building a [`Name`].
+#[derive(Debug, Clone, Copy)]
+pub struct WireName<'a> {
+    wire: &'a [u8],
+    labels: u8,
+    /// The owned name these bytes belong to, if any, so
+    /// [`WireName::to_name`] can hand out a refcount bump.
+    owned: Option<&'a Name>,
+}
+
+impl<'a> WireName<'a> {
+    /// The canonical (uncompressed) wire bytes.
+    pub fn as_wire(&self) -> &'a [u8] {
+        self.wire
+    }
+
+    /// True if `self` equals `other` or is a subdomain of it
+    /// (case-insensitively). Every name is under the root.
+    pub fn is_subdomain_of(&self, other: &Name) -> bool {
+        let mine = self.labels as usize;
+        let theirs = other.labels as usize;
+        if theirs > mine {
+            return false;
+        }
+        let mut pos = 0usize;
+        for _ in 0..mine - theirs {
+            pos += 1 + self.wire[pos] as usize;
+        }
+        self.wire[pos..].eq_ignore_ascii_case(&other.wire)
+    }
+
+    /// An owned copy: a refcount bump when borrowed from a [`Name`], one
+    /// allocation otherwise.
+    pub fn to_name(&self) -> Name {
+        match self.owned {
+            Some(name) => name.clone(),
+            None => Name { wire: Arc::from(self.wire), labels: self.labels },
+        }
+    }
+}
+
+impl PartialEq<Name> for WireName<'_> {
+    fn eq(&self, other: &Name) -> bool {
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
@@ -304,13 +367,25 @@ impl NameCompressor {
         self.starts.clear();
     }
 
+    /// How many offsets are recorded; [`NameCompressor::truncate`] rolls
+    /// back to such a mark when the bytes written after it are discarded.
+    pub(crate) fn mark(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Forgets the offsets recorded after `mark`.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        self.starts.truncate(mark);
+    }
+
     /// Finds a previously written name suffix equal (case-insensitively) to
     /// `suffix` (canonical wire form ending in the root octet), returning
-    /// its offset. Walks the written buffer label by label, following
-    /// pointers — every recorded offset resolves to a complete suffix chain
-    /// because we wrote it.
-    fn find(&self, buf: &[u8], suffix: &[u8]) -> Option<u16> {
-        'candidates: for &start in &self.starts {
+    /// its offset. Only the first `candidates` recorded offsets are tried:
+    /// those belong to completely written names, so each resolves to a
+    /// complete suffix chain. Walks the written buffer label by label,
+    /// following pointers.
+    fn find(&self, buf: &[u8], suffix: &[u8], candidates: usize) -> Option<u16> {
+        'candidates: for &start in &self.starts[..candidates] {
             let mut off = start as usize;
             let mut spos = 0usize;
             loop {
@@ -438,6 +513,22 @@ mod tests {
         assert_eq!(r.label_count(), 0);
         assert_eq!(name("."), r);
         assert_eq!(name(""), r);
+    }
+
+    #[test]
+    fn repeated_labels_encode_without_self_reference() {
+        // A suffix of the name being written must never be matched against
+        // that same, still incomplete, name.
+        for text in ["com.com", "a.b.a.b", "id.id.id"] {
+            let n = name(text);
+            let mut w = Writer::new();
+            let mut comp = NameCompressor::new();
+            n.encode(&mut w, Some(&mut comp));
+            n.encode(&mut w, Some(&mut comp));
+            let bytes = w.into_bytes();
+            assert_eq!(&bytes[..n.wire_len()], n.as_wire(), "{text}");
+            assert_eq!(&bytes[n.wire_len()..], &[0xC0, 0x00], "{text}");
+        }
     }
 
     #[test]

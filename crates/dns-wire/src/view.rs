@@ -14,7 +14,7 @@
 
 use crate::error::ParseError;
 use crate::message::{Header, Message, Question, Record};
-use crate::name::{walk_name, Name};
+use crate::name::{decompress, walk_name, Name, WireName, MAX_NAME_LEN};
 use crate::rdata::RData;
 use crate::types::{RClass, RType};
 use crate::wire::Reader;
@@ -150,18 +150,24 @@ impl<'a> NameRef<'a> {
     /// Case-insensitive comparison against an owned name, walking the
     /// compressed labels in place. No allocation.
     pub fn eq_name(&self, name: &Name) -> bool {
+        self.eq_wire(name.as_wire())
+    }
+
+    /// Case-insensitive comparison against a name in canonical wire form
+    /// (`\x02id\x06server\x00`), walking the compressed labels in place.
+    /// No allocation.
+    pub fn eq_wire(&self, wire: &[u8]) -> bool {
         let mut r = Reader::new(self.buf);
         if r.seek(self.off).is_err() {
             return false;
         }
-        let wire = name.as_wire();
         let mut pos = 0usize;
         let mut matched = true;
         match walk_name(&mut r, &mut |label| {
-            let want = wire[pos] as usize;
+            let want = wire.get(pos).map_or(0, |&b| b as usize);
             if want == 0
                 || want != label.len()
-                || !label.eq_ignore_ascii_case(&wire[pos + 1..pos + 1 + want])
+                || !wire.get(pos + 1..pos + 1 + want).is_some_and(|w| label.eq_ignore_ascii_case(w))
             {
                 matched = false;
                 return false;
@@ -169,9 +175,18 @@ impl<'a> NameRef<'a> {
             pos += 1 + want;
             true
         }) {
-            Ok(true) => matched && wire[pos] == 0,
+            Ok(true) => matched && wire.get(pos..) == Some(&[0u8][..]),
             Ok(false) | Err(_) => false,
         }
+    }
+
+    /// Decompresses into `buf` and borrows the result as a [`WireName`]:
+    /// the allocation-free way to hand a received name to lookups that
+    /// compare or suffix-match it.
+    pub fn to_wire_name<'b>(&self, buf: &'b mut [u8; MAX_NAME_LEN]) -> WireName<'b> {
+        let mut r = Reader::new(self.buf);
+        r.seek(self.off).expect("offset from a validated view");
+        decompress(&mut r, buf).expect("name validated at view parse")
     }
 
     /// Decompresses into an owned [`Name`]. One allocation (the shared

@@ -5,6 +5,7 @@
 //! every read returns a [`ParseError`] on failure.
 
 use crate::error::ParseError;
+use core::fmt;
 
 /// Bounds-checked big-endian reader over a byte slice.
 ///
@@ -146,6 +147,20 @@ impl Writer {
         }
     }
 
+    /// Overwrites a previously written octet at `offset` (same contract as
+    /// [`Writer::patch_u16`]).
+    pub fn patch_u8(&mut self, offset: usize, v: u8) {
+        debug_assert!(offset < self.buf.len());
+        if let Some(b) = self.buf.get_mut(offset) {
+            *b = v;
+        }
+    }
+
+    /// Drops everything written after the first `len` bytes.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -154,6 +169,15 @@ impl Writer {
     /// Borrow of the bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+/// Formatted text is appended as raw bytes, so a TXT string can be
+/// written straight into a message without an intermediate `String`.
+impl fmt::Write for Writer {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
     }
 }
 

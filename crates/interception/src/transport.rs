@@ -19,7 +19,7 @@ use crate::scenario::BuiltScenario;
 use crate::timing::{ProbeTimingLog, SCAN_PHASE};
 use dns_wire::{Message, MessageView, QueryEncoder, Question};
 use locator::{QueryOptions, QueryOutcome, QueryTransport, Step};
-use netsim::{Host, IfaceId, IpPacket, SimDuration, SimTime};
+use netsim::{Delivery, Host, IfaceId, IpPacket, SimDuration, SimTime};
 use std::net::IpAddr;
 use std::time::Instant;
 
@@ -64,6 +64,10 @@ pub struct SimTransport {
     /// Phase slot the next queries are attributed to (set by the locator
     /// through `note_step`, or to the scan slot by `begin_scan_phase`).
     timed_phase: u8,
+    /// The vantage host's deliveries for the current query. Drained into
+    /// the same buffer every query, so the inbox stops allocating after
+    /// the first two queries of a probe.
+    inbox: Vec<Delivery>,
 }
 
 impl SimTransport {
@@ -85,6 +89,7 @@ impl SimTransport {
             encoder,
             timing: None,
             timed_phase: 0,
+            inbox: Vec::new(),
         }
     }
 
@@ -179,13 +184,14 @@ impl SimTransport {
         let deadline = sim.now() + SimDuration::from_millis(opts.timeout_ms);
         sim.run_until(deadline);
 
-        let deliveries =
-            sim.device_mut::<Host>(node).expect("vantage is a Host").drain_inbox();
-        // First right-txid reply from an address other than the queried
-        // server; kept so a properly sourced answer later in the inbox
-        // still wins, as it would on a real unconnected socket.
+        sim.device_mut::<Host>(node).expect("vantage is a Host").drain_inbox_into(&mut self.inbox);
+        // The first right-txid reply from the queried server wins; failing
+        // that, the first right-txid reply from any other address, so a
+        // properly sourced answer later in the inbox still wins, as it
+        // would on a real unconnected socket.
+        let mut accepted: Option<(Message, SimTime)> = None;
         let mut mismatch: Option<(Message, IpAddr, SimTime)> = None;
-        for d in deliveries {
+        for d in &self.inbox {
             let Some(udp) = d.packet.udp_payload() else { continue };
             if udp.dst_port != sport || udp.src_port != 53 {
                 continue;
@@ -202,17 +208,22 @@ impl SimTransport {
             // to come from the server it queried. A right-txid reply from
             // anywhere else is the transparent-forwarder signature and is
             // surfaced, not silently dropped.
-            if d.packet.src() == server {
+            let from_server = d.packet.src() == server;
+            if from_server || mismatch.is_none() {
                 let mut resp = view.to_message();
                 resp.header.id = id;
-                self.record_rtt(inject_at, d.at);
-                return QueryOutcome::Response(resp);
-            }
-            if mismatch.is_none() {
-                let mut resp = view.to_message();
-                resp.header.id = id;
+                if from_server {
+                    accepted = Some((resp, d.at));
+                    break;
+                }
                 mismatch = Some((resp, d.packet.src(), d.at));
             }
+        }
+        // Release the packets now; the buffer keeps its capacity.
+        self.inbox.clear();
+        if let Some((resp, at)) = accepted {
+            self.record_rtt(inject_at, at);
+            return QueryOutcome::Response(resp);
         }
         match mismatch {
             Some((message, from, at)) => {

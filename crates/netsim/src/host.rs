@@ -9,7 +9,6 @@ use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::sim::{Ctx, Device, IfaceId};
 use crate::time::SimTime;
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 
 /// A received packet with its delivery time.
@@ -24,7 +23,8 @@ pub struct Delivery {
 /// A simple end host.
 pub struct Host {
     name: String,
-    addrs: HashSet<IpAddr>,
+    /// Owned addresses: a short list, so ownership is a linear scan.
+    addrs: Vec<IpAddr>,
     inbox: Vec<Delivery>,
     /// Packets not addressed to this host (mis-deliveries) — should stay 0
     /// in a correctly wired topology; tests assert on it.
@@ -34,12 +34,10 @@ pub struct Host {
 impl Host {
     /// Creates a host owning the given addresses.
     pub fn new(name: impl Into<String>, addrs: impl IntoIterator<Item = IpAddr>) -> Host {
-        Host {
-            name: name.into(),
-            addrs: addrs.into_iter().collect(),
-            inbox: Vec::new(),
-            misdeliveries: 0,
-        }
+        let mut host =
+            Host { name: name.into(), addrs: Vec::new(), inbox: Vec::new(), misdeliveries: 0 };
+        addrs.into_iter().for_each(|addr| host.add_addr(addr));
+        host
     }
 
     /// Boxed convenience constructor.
@@ -49,7 +47,9 @@ impl Host {
 
     /// Adds an address after construction.
     pub fn add_addr(&mut self, addr: IpAddr) {
-        self.addrs.insert(addr);
+        if !self.addrs.contains(&addr) {
+            self.addrs.push(addr);
+        }
     }
 
     /// True if the host owns `addr`.
@@ -65,6 +65,15 @@ impl Host {
     /// Removes and returns all delivered packets.
     pub fn drain_inbox(&mut self) -> Vec<Delivery> {
         std::mem::take(&mut self.inbox)
+    }
+
+    /// Moves all delivered packets into `out`, which is cleared first. The
+    /// two buffers trade places, so a caller that drains into the same
+    /// `out` every time keeps both allocations warm: after the first two
+    /// drains, neither side allocates again.
+    pub fn drain_inbox_into(&mut self, out: &mut Vec<Delivery>) {
+        out.clear();
+        std::mem::swap(&mut self.inbox, out);
     }
 }
 
@@ -186,6 +195,27 @@ mod tests {
         });
         assert_eq!(host.drain_inbox().len(), 1);
         assert!(host.inbox().is_empty());
+    }
+
+    #[test]
+    fn drain_into_trades_buffers() {
+        let mut host = Host::new("h", [addr("10.0.0.1")]);
+        let delivery = Delivery {
+            at: SimTime::ZERO,
+            packet: IpPacket::udp_v4(
+                "10.0.0.2".parse().unwrap(),
+                "10.0.0.1".parse().unwrap(),
+                1,
+                2,
+                Bytes::new(),
+            ),
+        };
+        let mut out = vec![delivery.clone(), delivery.clone()];
+        host.inbox.push(delivery);
+        host.drain_inbox_into(&mut out);
+        assert_eq!(out.len(), 1, "stale entries in `out` are cleared");
+        assert!(host.inbox().is_empty());
+        assert!(host.inbox.capacity() >= 2, "the host keeps the caller's old buffer");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::packet::{IpPacket, Transport};
 use crate::time::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::IpAddr;
 
 /// Transport protocol selector for NAT rules.
@@ -160,6 +161,53 @@ pub enum NatVerdict {
     Local(IpPacket),
 }
 
+/// Hashes conntrack keys with the FxHash mixing step instead of SipHash.
+/// The keys are tuples the simulation itself generates, not adversarial
+/// input, and every IPv4 hop through a NAT hashes at least one: a cheap
+/// deterministic hash keeps the hop cost down.
+#[derive(Default)]
+struct TupleHasher(u64);
+
+impl TupleHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for TupleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(v.into());
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.add(v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A stateful NAT engine combining optional DNAT rules and optional
 /// masquerade, with conntrack for reply translation.
 #[derive(Debug)]
@@ -171,7 +219,7 @@ pub struct NatEngine {
     /// locally instead of forwarding).
     local_addrs: Vec<IpAddr>,
     /// Keyed by the tuple a *reply* arriving from outside will carry.
-    conntrack: HashMap<FlowTuple, ConntrackEntry>,
+    conntrack: HashMap<FlowTuple, ConntrackEntry, BuildHasherDefault<TupleHasher>>,
     /// Entry lifetime.
     timeout: SimDuration,
     next_ephemeral: u16,
@@ -185,7 +233,7 @@ impl NatEngine {
             masquerade_v4: None,
             masquerade_v6: None,
             local_addrs: Vec::new(),
-            conntrack: HashMap::new(),
+            conntrack: HashMap::default(),
             timeout: SimDuration::from_secs(30),
             next_ephemeral: 49152,
         }
@@ -240,10 +288,11 @@ impl NatEngine {
 
         // DNAT phase.
         let mut dnat_applied = false;
-        let rule_hit = self.dnat_rules.iter().find(|r| r.matches(&pkt)).cloned();
-        if let Some(rule) = rule_hit {
-            pkt.set_dst(rule.to_addr);
-            if let (Some(port), Some(udp)) = (rule.to_port, pkt.udp_payload_mut()) {
+        let rule_hit =
+            self.dnat_rules.iter().find(|r| r.matches(&pkt)).map(|r| (r.to_addr, r.to_port));
+        if let Some((to_addr, to_port)) = rule_hit {
+            pkt.set_dst(to_addr);
+            if let (Some(port), Some(udp)) = (to_port, pkt.udp_payload_mut()) {
                 udp.dst_port = port;
             }
             dnat_applied = true;

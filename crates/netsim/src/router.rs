@@ -13,7 +13,6 @@ use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::route::RouteTable;
 use crate::sim::{Ctx, Device, IfaceId};
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 
 /// What a router does with a packet addressed to one of its own addresses.
@@ -32,12 +31,13 @@ pub enum LocalPolicy {
 /// Router configuration and state.
 pub struct Router {
     name: String,
-    /// Addresses owned by this router (local delivery).
-    addrs: HashSet<IpAddr>,
+    /// Addresses owned by this router (local delivery), in the order they
+    /// were added; the first is the source of ICMP errors.
+    addrs: Vec<IpAddr>,
     /// Forwarding table.
     pub routes: RouteTable,
-    /// Optional NAT engine with the set of "inside" interfaces.
-    nat: Option<(NatEngine, HashSet<IfaceId>)>,
+    /// Optional NAT engine with the list of "inside" interfaces.
+    nat: Option<(NatEngine, Vec<IfaceId>)>,
     /// Drop packets whose destination is bogon space (AS border behaviour).
     drop_bogon_dst: bool,
     /// Emit ICMP destination-unreachable when no route exists.
@@ -56,7 +56,7 @@ impl Router {
     pub fn new(name: impl Into<String>) -> Router {
         Router {
             name: name.into(),
-            addrs: HashSet::new(),
+            addrs: Vec::new(),
             routes: RouteTable::new(),
             nat: None,
             drop_bogon_dst: false,
@@ -70,7 +70,9 @@ impl Router {
 
     /// Assigns an address to the router (enables local delivery for it).
     pub fn add_addr(&mut self, addr: IpAddr) -> &mut Self {
-        self.addrs.insert(addr);
+        if !self.addrs.contains(&addr) {
+            self.addrs.push(addr);
+        }
         self
     }
 
@@ -133,9 +135,9 @@ impl Router {
         }
         if !packet.decrement_ttl() {
             self.ttl_drops += 1;
-            if let Some(&any_addr) = self.addrs.iter().next() {
+            if let Some(&source) = self.addrs.first() {
                 if let Some(te) = IpPacket::icmp(
-                    any_addr,
+                    source,
                     packet.src(),
                     IcmpMessage::TimeExceeded { original: packet.flow_summary() },
                 ) {
@@ -163,9 +165,9 @@ impl Router {
             None => {
                 self.no_route_drops += 1;
                 if self.emit_unreachable {
-                    if let Some(&any_addr) = self.addrs.iter().next() {
+                    if let Some(&source) = self.addrs.first() {
                         if let Some(unreach) = IpPacket::icmp(
-                            any_addr,
+                            source,
                             packet.src(),
                             IcmpMessage::DestUnreachable {
                                 code: 0,
@@ -336,6 +338,39 @@ mod tests {
             back[0].transport,
             Transport::Icmp(IcmpMessage::TimeExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn icmp_errors_come_from_the_first_added_address() {
+        // Built many times over: the source must not depend on any
+        // per-instance hashing order.
+        for _ in 0..32 {
+            let mut sim = Simulator::new(1);
+            let a = sim.add_device(Sink::boxed("a"));
+            let mut router = Router::new("r");
+            router.add_addr("10.0.0.1".parse().unwrap());
+            router.add_addr("192.0.2.77".parse().unwrap());
+            router.add_addr("10.0.0.1".parse().unwrap());
+            router.routes.add("10.0.0.0/8".parse().unwrap(), IfaceId(0));
+            router.emit_unreachable(true);
+            let r = sim.add_device(Box::new(router));
+            sim.connect((a, IfaceId(0)), (r, IfaceId(0)), SimDuration::from_millis(1));
+            let mut expiring = dns_pkt("10.0.0.2", "10.9.9.9");
+            expiring.ttl = 1;
+            sim.inject(a, IfaceId(0), expiring);
+            sim.inject(a, IfaceId(0), dns_pkt("10.0.0.2", "99.99.99.99"));
+            sim.run_to_quiescence();
+            let back = &sim.device::<Sink>(a).unwrap().received;
+            assert_eq!(back.len(), 2);
+            assert!(matches!(back[0].transport, Transport::Icmp(IcmpMessage::TimeExceeded { .. })));
+            assert!(matches!(
+                back[1].transport,
+                Transport::Icmp(IcmpMessage::DestUnreachable { .. })
+            ));
+            for error in back {
+                assert_eq!(error.src(), "10.0.0.1".parse::<IpAddr>().unwrap());
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Identifies a device within one simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -154,6 +154,60 @@ pub struct Attachment {
     pub node: NodeId,
     /// Interface on that device.
     pub iface: IfaceId,
+}
+
+/// The link plugged into each (node, iface), as a dense table indexed
+/// `node * stride + iface`: one bounds-checked load per hop instead of a
+/// hash lookup. The stride grows to fit the widest device (re-laying the
+/// table out, which only happens while a world is being wired).
+#[derive(Debug, Default)]
+struct PortTable {
+    stride: usize,
+    links: Vec<u32>,
+}
+
+impl PortTable {
+    /// Marks an empty port.
+    const NONE: u32 = u32::MAX;
+
+    fn get(&self, at: Attachment) -> Option<LinkId> {
+        if at.iface.0 >= self.stride {
+            return None;
+        }
+        let slot = at.node.0.checked_mul(self.stride)?.checked_add(at.iface.0)?;
+        match self.links.get(slot) {
+            Some(&link) if link != Self::NONE => Some(LinkId(link as usize)),
+            _ => None,
+        }
+    }
+
+    fn set(&mut self, at: Attachment, link: LinkId) {
+        if at.iface.0 >= self.stride {
+            let stride = (at.iface.0 + 1).next_power_of_two().max(4);
+            let nodes = self.links.len() / self.stride.max(1);
+            self.links.resize(nodes * stride, Self::NONE);
+            // Move rows back to front: every entry moves to a higher (or
+            // the same) slot, so nothing is overwritten before it moves.
+            for node in (0..nodes).rev() {
+                for iface in (0..self.stride).rev() {
+                    let old = node * self.stride + iface;
+                    let link = std::mem::replace(&mut self.links[old], Self::NONE);
+                    self.links[node * stride + iface] = link;
+                }
+            }
+            self.stride = stride;
+        }
+        let slot = at.node.0 * self.stride + at.iface.0;
+        if slot >= self.links.len() {
+            self.links.resize((at.node.0 + 1) * self.stride, Self::NONE);
+        }
+        self.links[slot] = u32::try_from(link.0).expect("fewer than 2^32 - 1 links");
+    }
+
+    /// Empties the table, keeping its capacity and stride.
+    fn clear(&mut self) {
+        self.links.clear();
+    }
 }
 
 /// A burst-loss episode: once triggered, the link drops this many
@@ -303,7 +357,7 @@ pub struct TraceEntry {
 /// Recyclable container capacity for a [`Simulator`].
 ///
 /// A fleet campaign builds one short-lived simulator per probe; the
-/// containers behind it (device table, link table, attachment map, event
+/// containers behind it (device table, link table, port table, event
 /// queue, trace buffer, action scratch) would otherwise be allocated and
 /// grown from zero every time. A worker keeps one `SimScratch`, passes it
 /// to [`Simulator::with_scratch`], and recovers it with
@@ -314,7 +368,7 @@ pub struct TraceEntry {
 pub struct SimScratch {
     devices: Vec<Box<dyn Device>>,
     links: Vec<Link>,
-    attachments: HashMap<Attachment, LinkId>,
+    ports: PortTable,
     queue: Vec<Reverse<Event>>,
     trace: Vec<TraceEntry>,
     actions: Vec<Action>,
@@ -326,7 +380,7 @@ pub struct Simulator {
     devices: Vec<Box<dyn Device>>,
     links: Vec<Link>,
     /// (node, iface) -> link index.
-    attachments: HashMap<Attachment, LinkId>,
+    ports: PortTable,
     queue: BinaryHeap<Reverse<Event>>,
     now: SimTime,
     seq: u64,
@@ -359,7 +413,7 @@ impl Simulator {
         let SimScratch {
             mut devices,
             mut links,
-            mut attachments,
+            mut ports,
             mut queue,
             mut trace,
             mut actions,
@@ -367,14 +421,14 @@ impl Simulator {
         } = scratch;
         devices.clear();
         links.clear();
-        attachments.clear();
+        ports.clear();
         queue.clear();
         trace.clear();
         actions.clear();
         Simulator {
             devices,
             links,
-            attachments,
+            ports,
             // An empty vec heapifies in O(1) and keeps its capacity.
             queue: BinaryHeap::from(queue),
             now: SimTime::ZERO,
@@ -405,7 +459,7 @@ impl Simulator {
         let Simulator {
             mut devices,
             mut links,
-            mut attachments,
+            mut ports,
             queue,
             mut trace,
             action_scratch: mut actions,
@@ -414,12 +468,12 @@ impl Simulator {
         } = self;
         devices.clear();
         links.clear();
-        attachments.clear();
+        ports.clear();
         trace.clear();
         actions.clear();
         let mut queue = queue.into_vec();
         queue.clear();
-        SimScratch { devices, links, attachments, queue, trace, actions, payloads }
+        SimScratch { devices, links, ports, queue, trace, actions, payloads }
     }
 
     /// Adds a device, returning its id.
@@ -471,8 +525,8 @@ impl Simulator {
             up: true,
             stats: LinkStats::default(),
         });
-        self.attachments.insert(a, id);
-        self.attachments.insert(b, id);
+        self.ports.set(a, id);
+        self.ports.set(b, id);
         id
     }
 
@@ -749,7 +803,7 @@ impl Simulator {
                 kind: CaptureKind::Egress { packet: packet.clone() },
             });
         }
-        let Some(&link_id) = self.attachments.get(&from) else {
+        let Some(link_id) = self.ports.get(from) else {
             self.packets_dropped += 1;
             if self.capture_on {
                 self.capture_fault(
@@ -893,6 +947,29 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn port_table_survives_stride_growth_and_rewiring() {
+        let at = |node, iface| Attachment { node: NodeId(node), iface: IfaceId(iface) };
+        let mut ports = PortTable::default();
+        ports.set(at(0, 0), LinkId(0));
+        ports.set(at(2, 1), LinkId(1));
+        ports.set(at(1, 3), LinkId(2));
+        // Wider than the initial stride: the table is laid out again.
+        ports.set(at(1, 9), LinkId(3));
+        ports.set(at(5, 0), LinkId(4));
+        for (node, iface, link) in [(0, 0, 0), (2, 1, 1), (1, 3, 2), (1, 9, 3), (5, 0, 4)] {
+            assert_eq!(ports.get(at(node, iface)), Some(LinkId(link)), "({node}, {iface})");
+        }
+        for (node, iface) in [(0, 1), (2, 0), (1, 10), (4, 0), (6, 0), (0, 99)] {
+            assert_eq!(ports.get(at(node, iface)), None, "({node}, {iface})");
+        }
+        // Reconnecting a port replaces its link, as the last connect wins.
+        ports.set(at(2, 1), LinkId(7));
+        assert_eq!(ports.get(at(2, 1)), Some(LinkId(7)));
+        ports.clear();
+        assert_eq!(ports.get(at(0, 0)), None);
+    }
 
     /// Minimal test device: remembers what it received, optionally echoes
     /// packets back out the same interface after a delay.

@@ -5,12 +5,11 @@
 //! in-packet iterative path reveals exactly the egress the querying
 //! recursor used.
 
-use crate::server::send_reply;
+use crate::server::{addr_list, send_reply};
 use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
 use dns_wire::{EncodeScratch, Message, Name, RData, Rcode, Record};
 use netsim::{Ctx, Device, IfaceId, IpPacket};
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -41,7 +40,7 @@ pub struct ServedZone {
 /// The authoritative server device.
 pub struct AuthoritativeServer {
     name: String,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: Vec<IpAddr>,
     zones: Vec<ServedZone>,
     /// Queries handled.
     pub queries_handled: u64,
@@ -56,7 +55,7 @@ impl AuthoritativeServer {
     ) -> AuthoritativeServer {
         AuthoritativeServer {
             name: name.into(),
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: addr_list(service_addrs),
             zones: Vec::new(),
             queries_handled: 0,
             scratch: EncodeScratch::new(),

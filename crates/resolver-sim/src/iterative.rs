@@ -9,13 +9,13 @@
 //! hold on the true packet path).
 
 use crate::cache::DnsCache;
-use crate::server::{handle_server_id, send_reply};
+use crate::server::{addr_list, handle_server_id, send_reply};
 use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
 use dns_wire::{EncodeScratch, Message, Name, Question, RClass, RData, RType, Rcode, Record};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SimDuration};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Source port for upstream queries.
@@ -65,7 +65,7 @@ struct Iteration {
 /// The iterative resolver device.
 pub struct IterativeResolver {
     name: String,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: Vec<IpAddr>,
     /// Source address for upstream queries (must route back to us).
     egress: IpAddr,
     root_hints: Vec<IpAddr>,
@@ -94,7 +94,7 @@ impl IterativeResolver {
     ) -> IterativeResolver {
         IterativeResolver {
             name: name.into(),
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: addr_list(service_addrs),
             egress,
             root_hints,
             profile,

@@ -38,6 +38,7 @@ pub use recursive::RecursiveResolver;
 pub use server::{apply_chaos_policy, handle_server_id, reply_packet};
 pub use software::{ChaosPolicy, SoftwareProfile};
 pub use zone::{
-    ReflectKind, ReflectorZone, ResolveCtx, ResolveResult, StaticZone, Zone, ZoneAnswer, ZoneDb,
+    AnswerSink, Lookup, ReflectKind, ReflectorZone, Resolution, ResolveCtx, ResolveResult,
+    StaticZone, Zone, ZoneAnswer, ZoneDb,
 };
 pub use zonefile::{parse_zone, ZoneParseError};

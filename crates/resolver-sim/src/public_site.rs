@@ -1,13 +1,16 @@
 //! Anycast sites of the four public resolvers, with the location-query
 //! semantics of paper Table 1.
 
-use crate::server::send_reply;
+use crate::server::{addr_list, reply_packet};
 use crate::zone::{ResolveCtx, ZoneDb};
 use dns_wire::debug_queries::{self, ServerIdKind};
-use dns_wire::{EncodeScratch, Message, Name, RClass, RData, RType, Rcode, Record};
+use dns_wire::{
+    AnswerData, EncodeScratch, MessageView, QuestionView, RClass, RType, Rcode, ReplyWriter,
+    MAX_NAME_LEN,
+};
 use netsim::{Ctx, Device, IfaceId, IpPacket};
 use std::any::Any;
-use std::collections::HashSet;
+use std::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -38,7 +41,7 @@ impl PublicBrand {
 pub struct PublicResolverSite {
     name: String,
     brand: PublicBrand,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: Vec<IpAddr>,
     /// IATA code of the site ("IAD", "SFO", "AMS", …).
     iata: String,
     /// Node number within the site, for Quad9/OpenDNS identity strings.
@@ -65,7 +68,7 @@ impl PublicResolverSite {
         PublicResolverSite {
             name: format!("{brand:?}-{iata}"),
             brand,
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: addr_list(service_addrs),
             iata: iata.to_ascii_uppercase(),
             node_index,
             egress,
@@ -95,74 +98,52 @@ impl PublicResolverSite {
         self.brand
     }
 
-    /// Identity string for CHAOS `id.server` / `hostname.bind`.
-    fn identity_string(&self) -> Option<String> {
-        match self.brand {
-            PublicBrand::Cloudflare => Some(self.iata.clone()),
-            PublicBrand::Quad9 => Some(format!(
-                "res{}.{}.rrdns.pch.net",
-                self.node_index,
-                self.iata.to_ascii_lowercase()
-            )),
-            // Google and OpenDNS do not implement id.server.
-            PublicBrand::Google | PublicBrand::OpenDns => None,
-        }
-    }
-
-    fn answer_chaos(&self, query: &Message, kind: ServerIdKind) -> Message {
-        let q = query.question().expect("caller checked");
-        match kind {
-            ServerIdKind::Version => {
+    /// Writes the answer to `q`, the query's first question, straight into
+    /// the reply: the location-query semantics of paper Table 1.
+    fn answer(&self, reply: &mut ReplyWriter<'_>, q: &QuestionView<'_>) {
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let qname = q.qname.to_wire_name(&mut buf);
+        let iata = Lower(&self.iata);
+        let node = self.node_index;
+        if let Some(kind) = debug_queries::server_id_kind_view(q) {
+            let text = match (kind, self.brand) {
                 // Only Quad9 answers version.bind (§3.2).
-                if self.brand == PublicBrand::Quad9 {
-                    Message::response_to(query, Rcode::NoError).with_answer(Record::chaos_txt(
-                        q.qname.clone(),
-                        format!("Q9-P-6.1-{}", self.iata.to_ascii_lowercase()),
-                    ))
-                } else {
-                    Message::response_to(query, Rcode::NotImp)
+                (ServerIdKind::Version, PublicBrand::Quad9) => format_args!("Q9-P-6.1-{iata}"),
+                // Cloudflare answers id.server with the IATA code, Quad9
+                // with its PCH node name.
+                (ServerIdKind::Identity, PublicBrand::Cloudflare) => format_args!("{}", self.iata),
+                (ServerIdKind::Identity, PublicBrand::Quad9) => {
+                    format_args!("res{node}.{iata}.rrdns.pch.net")
                 }
-            }
-            ServerIdKind::Identity => match self.identity_string() {
-                Some(id) => Message::response_to(query, Rcode::NoError)
-                    .with_answer(Record::chaos_txt(q.qname.clone(), id)),
-                None => Message::response_to(query, Rcode::NotImp),
-            },
-        }
-    }
-
-    fn answer_in(&self, query: &Message) -> Message {
-        let q = query.question().expect("caller checked");
-        // OpenDNS synthesizes debug.opendns.com at the resolver itself.
-        if self.brand == PublicBrand::OpenDns && is_opendns_debug(&q.qname) && q.qtype == RType::Txt
+                // Google and OpenDNS implement neither name.
+                _ => return reply.set_rcode(Rcode::NotImp),
+            };
+            reply.answer(qname, RClass::Chaos, 0, AnswerData::Txt(text));
+        } else if q.qclass != RClass::In {
+            reply.set_rcode(Rcode::NotImp);
+        } else if self.brand == PublicBrand::OpenDns
+            && q.qtype == RType::Txt
+            && q.qname.eq_name(&debug_queries::opendns_debug())
         {
-            let mut resp = Message::response_to(query, Rcode::NoError);
-            resp.answers.push(Record::new(
-                q.qname.clone(),
-                0,
-                RData::txt(format!(
-                    "server m{}.{}",
-                    self.node_index,
-                    self.iata.to_ascii_lowercase()
-                )),
-            ));
-            resp.answers.push(Record::new(
-                q.qname.clone(),
-                0,
-                RData::txt("flags: 20 0 2F8 0"),
-            ));
-            return resp;
+            // OpenDNS synthesizes debug.opendns.com at the resolver itself.
+            let server = format_args!("server m{node}.{iata}");
+            reply.answer(qname, RClass::In, 0, AnswerData::Txt(server));
+            reply.answer(qname, RClass::In, 0, AnswerData::Txt(format_args!("flags: 20 0 2F8 0")));
+        } else {
+            let result = self.zonedb.resolve_into(qname, q.qtype, &self.egress, reply);
+            reply.set_rcode(result.rcode);
+            reply.set_ad(self.dnssec_validating && result.authenticated);
         }
-        let result = self.zonedb.resolve(q, &self.egress);
-        let mut resp = Message::response_to(query, result.rcode);
-        resp.header.ad = self.dnssec_validating && result.authenticated;
-        resp.answers = result.answers;
-        resp
     }
 }
 
-fn is_opendns_debug(name: &Name) -> bool {
-    *name == debug_queries::opendns_debug()
+/// Displays a string in ASCII lowercase without allocating a copy.
+struct Lower<'a>(&'a str);
+
+impl fmt::Display for Lower<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.chars().try_for_each(|c| fmt::Write::write_char(f, c.to_ascii_lowercase()))
+    }
 }
 
 impl Device for PublicResolverSite {
@@ -171,21 +152,23 @@ impl Device for PublicResolverSite {
         if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
             return;
         }
-        let Ok(query) = Message::parse(&udp.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
+        if query.header().qr {
             return;
         }
         let Some(q) = query.question() else { return };
         self.queries_handled += 1;
 
-        let resp = if let Some(kind) = debug_queries::server_id_kind(q) {
-            self.answer_chaos(&query, kind)
-        } else if q.qclass == RClass::In {
-            self.answer_in(&query)
-        } else {
-            Message::response_to(&query, Rcode::NotImp)
-        };
-        send_reply(ctx, iface, &packet, &resp, &mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut reply = ReplyWriter::new(&mut scratch, &query, Rcode::NoError);
+        self.answer(&mut reply, &q);
+        if let Ok(wire) = reply.finish() {
+            let payload = ctx.alloc_payload(wire);
+            if let Some(reply) = reply_packet(&packet, payload) {
+                ctx.send(iface, reply);
+            }
+        }
+        self.scratch = scratch;
     }
 
     fn name(&self) -> &str {
@@ -205,7 +188,7 @@ impl Device for PublicResolverSite {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use dns_wire::Question;
+    use dns_wire::{Message, Question, RData};
     use netsim::{Host, SimDuration, Simulator};
 
     fn site(brand: PublicBrand, addr: &str, egress: &str) -> Box<PublicResolverSite> {
@@ -317,6 +300,29 @@ mod tests {
             Question::new(debug_queries::whoami_akamai(), RType::A),
         );
         assert_eq!(resp.answers[0].rdata, RData::A("172.253.226.35".parse().unwrap()));
+    }
+
+    #[test]
+    fn repeated_label_names_get_an_answer() {
+        // Compressing a name against itself once panicked the responder.
+        let resp = ask(
+            PublicBrand::Cloudflare,
+            "1.1.1.1",
+            "172.68.1.1",
+            Question::new("com.com".parse().unwrap(), RType::A),
+        );
+        assert_eq!(resp.header.rcode, Rcode::NxDomain);
+    }
+
+    #[test]
+    fn validating_sites_set_ad_on_signed_answers() {
+        let q = || Question::new("Example.COM".parse().unwrap(), RType::A);
+        let resp = ask(PublicBrand::Google, "8.8.8.8", "172.253.226.35", q());
+        assert!(resp.header.ad);
+        assert_eq!(resp.questions[0].qname.to_string(), "Example.COM.");
+        let resp = ask(PublicBrand::OpenDns, "208.67.222.222", "146.112.1.1", q());
+        assert!(!resp.header.ad);
+        assert_eq!(resp.answers.len(), 1);
     }
 
     #[test]

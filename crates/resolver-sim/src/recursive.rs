@@ -9,20 +9,20 @@
 //! blanket refusal (the "Status Modified" interceptors of Figure 3).
 
 use crate::cache::DnsCache;
-use crate::server::{encode_reply, handle_server_id, send_reply};
+use crate::server::{addr_list, encode_reply, handle_server_id, send_reply};
 use crate::software::SoftwareProfile;
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
 use dns_wire::{EncodeScratch, Message, RClass, RData, RType, Rcode, Record};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SimDuration};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// A recursive resolver bound to a set of service addresses.
 pub struct RecursiveResolver {
     name: String,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: Vec<IpAddr>,
     egress: ResolveCtx,
     zonedb: Arc<ZoneDb>,
     /// Software identity for CHAOS queries.
@@ -56,7 +56,7 @@ impl RecursiveResolver {
     ) -> RecursiveResolver {
         RecursiveResolver {
             name: name.into(),
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: addr_list(service_addrs),
             egress,
             zonedb,
             profile,

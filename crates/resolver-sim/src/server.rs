@@ -6,6 +6,20 @@ use bytes::Bytes;
 use dns_wire::debug_queries::{self, ServerIdKind};
 use dns_wire::{EncodeScratch, Message, Rcode, Record};
 use netsim::{Ctx, IfaceId, IpPacket};
+use std::net::IpAddr;
+
+/// Collects a server's service addresses in first-seen order, without
+/// duplicates. Servers own a handful of addresses, so the per-packet
+/// ownership check is a short linear scan instead of a hash.
+pub(crate) fn addr_list(addrs: impl IntoIterator<Item = IpAddr>) -> Vec<IpAddr> {
+    let mut out = Vec::new();
+    for addr in addrs {
+        if !out.contains(&addr) {
+            out.push(addr);
+        }
+    }
+    out
+}
 
 /// Builds the UDP reply packet for `request`: source/destination and ports
 /// swapped, carrying `payload`.

@@ -13,15 +13,16 @@
 //!   address — Google's own recursors produce a Google address, an ISP
 //!   resolver produces a foreign one (Table 2).
 
-use dns_wire::{Name, Question, RData, RType, Rcode, Record};
+use dns_wire::{
+    AnswerData, Name, Question, RClass, RData, RType, Rcode, Record, ReplyWriter, WireName,
+};
 use std::cmp::Ordering;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 /// Total, case-insensitive ordering over canonical name wire forms.
 /// Consistent with `Name`'s `PartialEq`/`Hash`: equal names compare equal.
-fn cmp_names(a: &Name, b: &Name) -> Ordering {
-    let (aw, bw) = (a.as_wire(), b.as_wire());
+fn cmp_names(aw: &[u8], bw: &[u8]) -> Ordering {
     for (x, y) in aw.iter().zip(bw.iter()) {
         match x.to_ascii_lowercase().cmp(&y.to_ascii_lowercase()) {
             Ordering::Equal => {}
@@ -47,7 +48,60 @@ impl ResolveCtx {
     }
 }
 
-/// One zone's answer.
+/// Where a lookup hands its answer records, as it finds them.
+///
+/// A responder passes its [`ReplyWriter`], so records go straight onto the
+/// wire; the owned forms ([`Zone::lookup`], [`ZoneDb::resolve`]) collect
+/// into a `Vec<Record>`.
+pub trait AnswerSink {
+    /// A stored record.
+    fn record(&mut self, record: &Record);
+    /// An IN-class answer synthesized for `owner`.
+    fn synthesized(&mut self, owner: WireName<'_>, ttl: u32, data: AnswerData<'_>);
+    /// Forgets every answer handed over so far.
+    fn discard(&mut self);
+}
+
+impl AnswerSink for Vec<Record> {
+    fn record(&mut self, record: &Record) {
+        self.push(record.clone());
+    }
+
+    fn synthesized(&mut self, owner: WireName<'_>, ttl: u32, data: AnswerData<'_>) {
+        self.push(Record::new(owner.to_name(), ttl, data.to_rdata()));
+    }
+
+    fn discard(&mut self) {
+        self.clear();
+    }
+}
+
+impl AnswerSink for ReplyWriter<'_> {
+    fn record(&mut self, record: &Record) {
+        ReplyWriter::record(self, record);
+    }
+
+    fn synthesized(&mut self, owner: WireName<'_>, ttl: u32, data: AnswerData<'_>) {
+        self.answer(owner, RClass::In, ttl, data);
+    }
+
+    fn discard(&mut self) {
+        self.discard_answers();
+    }
+}
+
+/// How a zone answered, besides the records it handed to the sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// Matching records went to the sink.
+    Records,
+    /// The name does not exist in the zone.
+    NxDomain,
+    /// The name exists but has no records of the asked type.
+    NoData,
+}
+
+/// One zone's answer, owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZoneAnswer {
     /// Matching records.
@@ -60,8 +114,25 @@ pub enum ZoneAnswer {
 
 /// An authoritative data source for one apex.
 pub trait Zone: Send + Sync {
-    /// Answers one question.
-    fn lookup(&self, q: &Question, ctx: &ResolveCtx) -> ZoneAnswer;
+    /// Answers `qname`/`qtype`, handing matching records to `out`.
+    fn lookup_into(
+        &self,
+        qname: WireName<'_>,
+        qtype: RType,
+        ctx: &ResolveCtx,
+        out: &mut dyn AnswerSink,
+    ) -> Lookup;
+
+    /// Answers one question with owned records: a thin wrapper over
+    /// [`Zone::lookup_into`].
+    fn lookup(&self, q: &Question, ctx: &ResolveCtx) -> ZoneAnswer {
+        let mut records = Vec::new();
+        match self.lookup_into(q.qname.as_wire_name(), q.qtype, ctx, &mut records) {
+            Lookup::Records => ZoneAnswer::Records(records),
+            Lookup::NxDomain => ZoneAnswer::NxDomain,
+            Lookup::NoData => ZoneAnswer::NoData,
+        }
+    }
 }
 
 /// A static zone: a sorted table from (name, type) to records.
@@ -82,28 +153,28 @@ impl StaticZone {
         StaticZone::default()
     }
 
-    fn position(&self, name: &Name, rtype: u16) -> Result<usize, usize> {
+    fn position(&self, name: &[u8], rtype: u16) -> Result<usize, usize> {
         self.entries
-            .binary_search_by(|(n, t, _)| cmp_names(n, name).then(t.cmp(&rtype)))
+            .binary_search_by(|(n, t, _)| cmp_names(n.as_wire(), name).then(t.cmp(&rtype)))
     }
 
-    fn lookup_records(&self, name: &Name, rtype: u16) -> Option<&[Record]> {
+    fn lookup_records(&self, name: &[u8], rtype: u16) -> Option<&[Record]> {
         self.position(name, rtype).ok().map(|i| self.entries[i].2.as_slice())
     }
 
-    fn contains_name(&self, name: &Name) -> bool {
+    fn contains_name(&self, name: &[u8]) -> bool {
         // Entries are sorted by name first: the partition point sits just
         // past the last entry with this name, if any exists.
         let i = self
             .entries
-            .partition_point(|(n, _, _)| cmp_names(n, name) != Ordering::Greater);
-        i > 0 && self.entries[i - 1].0 == *name
+            .partition_point(|(n, _, _)| cmp_names(n.as_wire(), name) != Ordering::Greater);
+        i > 0 && cmp_names(self.entries[i - 1].0.as_wire(), name) == Ordering::Equal
     }
 
     /// Adds a record.
     pub fn add(&mut self, record: Record) -> &mut Self {
         let rtype = record.rdata.rtype().to_u16();
-        match self.position(&record.name, rtype) {
+        match self.position(record.name.as_wire(), rtype) {
             Ok(i) => self.entries[i].2.push(record),
             Err(i) => {
                 let name = record.name.clone();
@@ -139,18 +210,26 @@ impl StaticZone {
 }
 
 impl Zone for StaticZone {
-    fn lookup(&self, q: &Question, _ctx: &ResolveCtx) -> ZoneAnswer {
-        if let Some(records) = self.lookup_records(&q.qname, q.qtype.to_u16()) {
-            return ZoneAnswer::Records(records.to_vec());
+    fn lookup_into(
+        &self,
+        qname: WireName<'_>,
+        qtype: RType,
+        _ctx: &ResolveCtx,
+        out: &mut dyn AnswerSink,
+    ) -> Lookup {
+        let name = qname.as_wire();
+        // A CNAME at the name answers any type.
+        let records = self
+            .lookup_records(name, qtype.to_u16())
+            .or_else(|| self.lookup_records(name, RType::Cname.to_u16()));
+        if let Some(records) = records {
+            records.iter().for_each(|r| out.record(r));
+            return Lookup::Records;
         }
-        // CNAME at the name answers any type.
-        if let Some(records) = self.lookup_records(&q.qname, RType::Cname.to_u16()) {
-            return ZoneAnswer::Records(records.to_vec());
-        }
-        if self.contains_name(&q.qname) {
-            ZoneAnswer::NoData
+        if self.contains_name(name) {
+            Lookup::NoData
         } else {
-            ZoneAnswer::NxDomain
+            Lookup::NxDomain
         }
     }
 }
@@ -181,42 +260,32 @@ impl ReflectorZone {
 }
 
 impl Zone for ReflectorZone {
-    fn lookup(&self, q: &Question, ctx: &ResolveCtx) -> ZoneAnswer {
-        if q.qname != self.name {
-            return ZoneAnswer::NxDomain;
+    fn lookup_into(
+        &self,
+        qname: WireName<'_>,
+        qtype: RType,
+        ctx: &ResolveCtx,
+        out: &mut dyn AnswerSink,
+    ) -> Lookup {
+        if qname != self.name {
+            return Lookup::NxDomain;
         }
-        match self.kind {
-            ReflectKind::Address => match q.qtype {
-                RType::A => match ctx.egress_v4 {
-                    Some(ip) => ZoneAnswer::Records(vec![Record::new(
-                        q.qname.clone(),
-                        30,
-                        RData::A(ip),
-                    )]),
-                    None => ZoneAnswer::NoData,
-                },
-                RType::Aaaa => match ctx.egress_v6 {
-                    Some(ip) => ZoneAnswer::Records(vec![Record::new(
-                        q.qname.clone(),
-                        30,
-                        RData::Aaaa(ip),
-                    )]),
-                    None => ZoneAnswer::NoData,
-                },
-                _ => ZoneAnswer::NoData,
-            },
-            ReflectKind::Text => match q.qtype {
-                RType::Txt => {
-                    let text = match (ctx.egress_v4, ctx.egress_v6) {
-                        (Some(ip), _) => ip.to_string(),
-                        (None, Some(ip)) => ip.to_string(),
-                        (None, None) => return ZoneAnswer::NoData,
-                    };
-                    ZoneAnswer::Records(vec![Record::new(q.qname.clone(), 30, RData::txt(text))])
-                }
-                _ => ZoneAnswer::NoData,
-            },
+        match (self.kind, qtype, ctx.egress_v4, ctx.egress_v6) {
+            (ReflectKind::Address, RType::A, Some(ip), _) => {
+                out.synthesized(qname, 30, AnswerData::A(ip))
+            }
+            (ReflectKind::Address, RType::Aaaa, _, Some(ip)) => {
+                out.synthesized(qname, 30, AnswerData::Aaaa(ip))
+            }
+            (ReflectKind::Text, RType::Txt, Some(ip), _) => {
+                out.synthesized(qname, 30, AnswerData::Txt(format_args!("{ip}")))
+            }
+            (ReflectKind::Text, RType::Txt, None, Some(ip)) => {
+                out.synthesized(qname, 30, AnswerData::Txt(format_args!("{ip}")))
+            }
+            _ => return Lookup::NoData,
         }
+        Lookup::Records
     }
 }
 
@@ -238,7 +307,17 @@ pub struct ZoneDb {
     zones: Vec<(Name, Arc<dyn Zone>)>,
     /// Apexes whose data is DNSSEC-signed (modelled as a flag: signatures
     /// themselves add nothing to the interception mechanics).
-    signed: std::collections::HashSet<Name>,
+    signed: Vec<Name>,
+}
+
+/// How a resolution ended, besides the answers it handed to the sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolution {
+    /// Response code.
+    pub rcode: Rcode,
+    /// True when every zone touched is signed; see
+    /// [`ResolveResult::authenticated`].
+    pub authenticated: bool,
 }
 
 impl ZoneDb {
@@ -255,12 +334,18 @@ impl ZoneDb {
 
     /// Marks an apex as DNSSEC-signed.
     pub fn sign(&mut self, apex: Name) -> &mut Self {
-        self.signed.insert(apex);
+        if !self.signed.contains(&apex) {
+            self.signed.push(apex);
+        }
         self
     }
 
     /// True when `qname` falls under a signed apex.
     pub fn is_signed(&self, qname: &Name) -> bool {
+        self.is_signed_wire(qname.as_wire_name())
+    }
+
+    fn is_signed_wire(&self, qname: WireName<'_>) -> bool {
         self.signed.iter().any(|apex| qname.is_subdomain_of(apex))
     }
 
@@ -319,7 +404,7 @@ impl ZoneDb {
         db
     }
 
-    fn find_zone(&self, qname: &Name) -> Option<&Arc<dyn Zone>> {
+    fn find_zone(&self, qname: WireName<'_>) -> Option<&Arc<dyn Zone>> {
         self.zones
             .iter()
             .filter(|(apex, _)| qname.is_subdomain_of(apex))
@@ -327,42 +412,81 @@ impl ZoneDb {
             .map(|(_, z)| z)
     }
 
-    /// Recursively resolves `q`, chasing up to four CNAME links.
+    /// Recursively resolves `q` into owned records: a thin wrapper over
+    /// [`ZoneDb::resolve_into`].
     pub fn resolve(&self, q: &Question, ctx: &ResolveCtx) -> ResolveResult {
-        let mut answers: Vec<Record> = Vec::new();
-        let mut current = q.clone();
-        let mut authenticated = self.is_signed(&q.qname);
+        let mut answers = Vec::new();
+        let Resolution { rcode, authenticated } =
+            self.resolve_into(q.qname.as_wire_name(), q.qtype, ctx, &mut answers);
+        ResolveResult { rcode, answers, authenticated }
+    }
+
+    /// Recursively resolves `qname`/`qtype`, chasing up to four CNAME links
+    /// and handing every answer record to `out` in order. A chain that
+    /// needs more lookups than that is SERVFAIL, its answers discarded.
+    pub fn resolve_into(
+        &self,
+        qname: WireName<'_>,
+        qtype: RType,
+        ctx: &ResolveCtx,
+        out: &mut dyn AnswerSink,
+    ) -> Resolution {
+        let mut sink = ChaseSink { out, qtype, answers: 0, cname: None };
+        // The CNAME target currently being resolved (none: `qname` itself).
+        let mut target: Option<Name> = None;
+        let mut authenticated = self.is_signed_wire(qname);
         for _ in 0..4 {
-            authenticated = authenticated && self.is_signed(&current.qname);
-            let Some(zone) = self.find_zone(&current.qname) else {
-                return ResolveResult { rcode: Rcode::NxDomain, answers, authenticated };
+            let current = target.as_ref().map_or(qname, Name::as_wire_name);
+            authenticated = authenticated && self.is_signed_wire(current);
+            let Some(zone) = self.find_zone(current) else {
+                return Resolution { rcode: Rcode::NxDomain, authenticated };
             };
-            match zone.lookup(&current, ctx) {
-                ZoneAnswer::Records(mut records) => {
-                    let cname_target = records.iter().find_map(|r| match &r.rdata {
-                        RData::Cname(t) if current.qtype != RType::Cname => Some(t.clone()),
-                        _ => None,
-                    });
-                    answers.append(&mut records);
-                    match cname_target {
-                        Some(target) => {
-                            current = Question { qname: target, ..current.clone() };
-                        }
-                        None => {
-                            return ResolveResult { rcode: Rcode::NoError, answers, authenticated }
-                        }
-                    }
+            sink.cname = None;
+            match zone.lookup_into(current, qtype, ctx, &mut sink) {
+                Lookup::Records => match sink.cname.take() {
+                    Some(next) => target = Some(next),
+                    None => return Resolution { rcode: Rcode::NoError, authenticated },
+                },
+                Lookup::NxDomain => {
+                    let rcode = if sink.answers == 0 { Rcode::NxDomain } else { Rcode::NoError };
+                    return Resolution { rcode, authenticated };
                 }
-                ZoneAnswer::NxDomain => {
-                    let rcode = if answers.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
-                    return ResolveResult { rcode, answers, authenticated };
-                }
-                ZoneAnswer::NoData => {
-                    return ResolveResult { rcode: Rcode::NoError, answers, authenticated }
-                }
+                Lookup::NoData => return Resolution { rcode: Rcode::NoError, authenticated },
             }
         }
-        ResolveResult { rcode: Rcode::ServFail, answers: Vec::new(), authenticated: false }
+        sink.out.discard();
+        Resolution { rcode: Rcode::ServFail, authenticated: false }
+    }
+}
+
+/// Forwards a resolution's records to the caller's sink, noting the first
+/// CNAME target of each lookup so the chain can be chased.
+struct ChaseSink<'o> {
+    out: &'o mut dyn AnswerSink,
+    qtype: RType,
+    answers: usize,
+    cname: Option<Name>,
+}
+
+impl AnswerSink for ChaseSink<'_> {
+    fn record(&mut self, record: &Record) {
+        if let (None, RData::Cname(t)) = (&self.cname, &record.rdata) {
+            if self.qtype != RType::Cname {
+                self.cname = Some(t.clone());
+            }
+        }
+        self.answers += 1;
+        self.out.record(record);
+    }
+
+    fn synthesized(&mut self, owner: WireName<'_>, ttl: u32, data: AnswerData<'_>) {
+        self.answers += 1;
+        self.out.synthesized(owner, ttl, data);
+    }
+
+    fn discard(&mut self) {
+        self.answers = 0;
+        self.out.discard();
     }
 }
 
