@@ -15,12 +15,14 @@
 //! [`QueryEncoder`] scratch plus the recycled simulator containers
 //! ([`netsim::SimScratch`]), so a million-probe campaign builds a million
 //! worlds into a handful of steady-state allocations per worker instead of
-//! growing each world from zero.
+//! growing each world from zero. Every mode — plain, captured, archived,
+//! classified — measures its probe through the one routine that builds
+//! that world, `run_probe`.
 //!
 //! Results are keyed by claim index and merged after the joins, so output
 //! stays ordered by probe id and bitwise identical across thread counts
 //! *and* batch sizes. For campaigns too large to hold every
-//! [`ProbeReport`], [`run_campaign_streaming`] folds each result into a
+//! [`ProbeReport`], [`run_campaign_timed`] folds each result into a
 //! per-worker [`AggregateReport`] the moment it is measured and merges the
 //! per-worker partials at the end — memory stays constant in fleet size,
 //! and because every aggregate counter is a commutative sum, the merged
@@ -33,8 +35,12 @@ use crate::telemetry::CampaignTelemetry;
 use crate::timing::{TimingRegistry, WALL_PROBE_TOTAL, WALL_WORLD_BUILD};
 use crossbeam::thread;
 use dns_wire::QueryEncoder;
-use interception::{GroundTruth, ProbeTimingLog, QueryFlow, SimTransport, WorldTemplate};
-use locator::{HijackLocator, MetricsFolder, ProbeReport, QueryTransport};
+use interception::{
+    GroundTruth, HomeScenario, ProbeTimingLog, QueryFlow, SimTransport, WorldTemplate,
+};
+use locator::{
+    HijackLocator, InterceptorLocation, LocatorConfig, MetricsFolder, ProbeReport, QueryTransport,
+};
 use netsim::SimScratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use timing::Span;
@@ -73,7 +79,7 @@ impl Default for CampaignOptions {
 /// [`QueryEncoder`] (the fixed location-query set is encoded once per
 /// worker, not per probe) and the recycled simulator containers (each
 /// probe's world is built into the previous world's allocations).
-pub struct WorkerArena {
+pub(crate) struct WorkerArena {
     pub(crate) encoder: QueryEncoder,
     pub(crate) scratch: SimScratch,
     /// The worker's recycled timing log (lazily created on the first timed
@@ -84,18 +90,12 @@ pub struct WorkerArena {
 
 impl WorkerArena {
     /// A cold arena; it warms up over the worker's first probe.
-    pub fn new() -> WorkerArena {
+    pub(crate) fn new() -> WorkerArena {
         WorkerArena {
             encoder: QueryEncoder::new(),
             scratch: SimScratch::default(),
             timing_log: None,
         }
-    }
-}
-
-impl Default for WorkerArena {
-    fn default() -> WorkerArena {
-        WorkerArena::new()
     }
 }
 
@@ -111,46 +111,26 @@ pub struct ProbeResult<'a> {
     /// Simulator ground truth.
     pub truth: GroundTruth,
     /// What the technique was expected to conclude.
-    pub expected: Option<locator::InterceptorLocation>,
+    pub expected: Option<InterceptorLocation>,
 }
 
 /// Runs the full campaign. Results come back ordered by probe id; the
 /// computation is embarrassingly parallel and each probe's world is seeded
 /// independently, so thread count does not affect the outcome.
 pub fn run_campaign(fleet: &Fleet, threads: usize) -> Vec<ProbeResult<'_>> {
-    run_campaign_metered(fleet, threads, None)
+    run_campaign_configured(fleet, CampaignOptions::new(threads), None, None)
 }
 
-/// [`run_campaign`], optionally aggregating per-probe metrics into a
-/// shared [`MetricsRegistry`] as workers finish each probe. Because the
-/// registry only ever adds commutative counters, the aggregate — like the
-/// results themselves — is independent of thread count.
-pub fn run_campaign_metered<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-) -> Vec<ProbeResult<'a>> {
-    run_campaign_observed(fleet, threads, registry, None)
-}
-
-/// [`run_campaign_metered`] with a live observation point: when
-/// `telemetry` is given, workers bump its claim/completion counters as
-/// they go, so a monitor thread can render progress while the campaign
-/// runs. Telemetry updates are relaxed atomic increments off the
-/// simulator's path — results and metrics stay bitwise identical with
-/// telemetry on or off.
-pub fn run_campaign_observed<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-    telemetry: Option<&CampaignTelemetry>,
-) -> Vec<ProbeResult<'a>> {
-    run_campaign_configured(fleet, CampaignOptions::new(threads), registry, telemetry)
-}
-
-/// [`run_campaign_observed`] with the full set of scheduling knobs
-/// ([`CampaignOptions`]): thread count and probes-per-claim batch size.
-/// Results are bitwise identical for every `(threads, batch_size)` pair.
+/// [`run_campaign`] with the full set of scheduling knobs
+/// ([`CampaignOptions`]: thread count and probes-per-claim batch size) and
+/// two optional observers. A `registry` aggregates per-probe metrics as
+/// workers finish each probe; because it only ever adds commutative
+/// counters, the aggregate — like the results themselves — is independent
+/// of thread count. A `telemetry` handle gets the claim/completion
+/// counters bumped as workers go, so a monitor thread can render progress
+/// while the campaign runs; those are relaxed atomic increments off the
+/// simulator's path. Results are bitwise identical for every
+/// `(threads, batch_size)` pair, with either observer on or off.
 pub fn run_campaign_configured<'a>(
     fleet: &'a Fleet,
     options: CampaignOptions,
@@ -174,7 +154,7 @@ pub fn run_campaign_configured_timed<'a>(
     let responding: Vec<&ProbeSpec> = fleet.responding().collect();
     let template = WorldTemplate::shared();
     let results = run_collected(&responding, options, telemetry, |probe, arena| {
-        measure_probe_timed_with(fleet, probe, registry, &template, arena, timing)
+        measure_probe_with(fleet, probe, registry, &template, arena, timing)
     });
     record_schedule(registry, results.len());
     results
@@ -189,22 +169,12 @@ pub fn run_campaign_configured_timed<'a>(
 ///
 /// Every aggregate counter is a commutative, order-independent sum, so the
 /// returned aggregate is bitwise identical to aggregating the output of
-/// [`run_campaign_configured`] — at any thread count or batch size.
-pub fn run_campaign_streaming(
-    fleet: &Fleet,
-    options: CampaignOptions,
-    registry: Option<&MetricsRegistry>,
-    telemetry: Option<&CampaignTelemetry>,
-) -> AggregateReport {
-    run_campaign_timed(fleet, options, registry, telemetry, None)
-}
-
-/// [`run_campaign_streaming`] with the latency observer attached: every
-/// probe's virtual-clock RTTs and wall-clock phase durations fold into
-/// `timing` as workers finish. Virtual-clock histograms are commutative
-/// sums of per-query samples, so — like the aggregate itself — they are
-/// bitwise identical at every `(threads, batch_size)` pair. With `timing`
-/// absent this *is* [`run_campaign_streaming`]: no clock reads, no logs.
+/// [`run_campaign_configured`] — at any thread count or batch size. With
+/// `timing` given, every probe's virtual-clock RTTs and wall-clock phase
+/// durations fold into it as workers finish; the virtual-clock histograms
+/// are commutative sums of per-query samples, so they are bitwise
+/// identical at every `(threads, batch_size)` pair too. With `timing`
+/// absent there are no clock reads and no logs.
 pub fn run_campaign_timed(
     fleet: &Fleet,
     options: CampaignOptions,
@@ -218,7 +188,7 @@ pub fn run_campaign_timed(
         &responding,
         options,
         telemetry,
-        |probe, arena| measure_probe_timed_with(fleet, probe, registry, &template, arena, timing),
+        |probe, arena| measure_probe_with(fleet, probe, registry, &template, arena, timing),
         AggregateReport::new,
         |acc, _idx, result| acc.fold(fleet, &result),
     );
@@ -245,7 +215,13 @@ pub fn run_campaign_captured<'a>(
     let template = WorldTemplate::shared();
     let options = CampaignOptions::new(threads);
     let results = run_collected(&responding, options, telemetry, |probe, arena| {
-        measure_probe_captured_with(fleet, probe, registry, &template, arena)
+        let ((report, flows), truth, expected) =
+            run_probe(fleet, probe, &template, arena, None, |_, transport, config| {
+                transport.enable_capture();
+                let report = run_locator(config, transport, registry, probe.org);
+                (report, transport.take_flows())
+            });
+        (ProbeResult { probe, report, truth, expected }, flows)
     });
     record_schedule(registry, results.len());
     results
@@ -294,32 +270,6 @@ where
     }
     let batch = options.batch_size.max(1);
     let threads = options.threads.clamp(1, responding.len());
-    if threads == 1 {
-        // Inline fast path: no scope, no cursor, one warm arena. Claims
-        // are still batched so telemetry counts the same batch totals.
-        let mut arena = WorkerArena::new();
-        let mut acc = init();
-        let mut idx = 0;
-        for chunk in responding.chunks(batch) {
-            if let Some(t) = telemetry {
-                t.note_batch(0, chunk.len() as u64);
-            }
-            for probe in chunk {
-                let started = telemetry.map(|_| std::time::Instant::now());
-                let result = measure(probe, &mut arena);
-                if let (Some(t), Some(s)) = (telemetry, started) {
-                    t.note_probe_us(s.elapsed().as_micros() as u64);
-                }
-                fold(&mut acc, idx, result);
-                idx += 1;
-                if let Some(t) = telemetry {
-                    t.note_complete();
-                }
-            }
-        }
-        return vec![acc];
-    }
-
     let cursor = AtomicUsize::new(0);
     thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -400,91 +350,83 @@ where
         .collect()
 }
 
-/// The pre-work-stealing scheduler: splits the responding probes into one
-/// static chunk per thread. Kept for benchmarking scheduler imbalance on
-/// heavy-tail fleets (everything else — template, scratch reuse — is
-/// identical to [`run_campaign_metered`], isolating the scheduling
-/// effect); produces bitwise-identical results.
-pub fn run_campaign_chunked<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-) -> Vec<ProbeResult<'a>> {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let threads = threads.max(1);
-    let chunk = responding.len().div_ceil(threads);
-    if chunk == 0 {
-        return Vec::new();
-    }
-    let template = WorldTemplate::shared();
-    let mut results: Vec<Option<ProbeResult<'a>>> = vec![None; responding.len()];
-    thread::scope(|scope| {
-        for (slot_chunk, probe_chunk) in
-            results.chunks_mut(chunk).zip(responding.chunks(chunk))
-        {
-            let template = &template;
-            scope.spawn(move |_| {
-                let mut arena = WorkerArena::new();
-                for (slot, probe) in slot_chunk.iter_mut().zip(probe_chunk) {
-                    *slot = Some(measure_probe_with(fleet, probe, registry, template, &mut arena));
-                }
-            });
-        }
-    })
-    .expect("campaign worker panicked");
-    let results: Vec<ProbeResult<'a>> = results.into_iter().flatten().collect();
-    record_schedule(registry, results.len());
-    results
+/// What a per-probe body hands back to [`run_probe`]: its output, through
+/// which the timing observer reads the locator report it folds.
+pub(crate) trait ProbeOutput {
+    /// The probe's locator report.
+    fn report(&self) -> &ProbeReport;
 }
 
-pub(crate) fn probe_config(
+impl ProbeOutput for ProbeReport {
+    fn report(&self) -> &ProbeReport {
+        self
+    }
+}
+
+impl<X> ProbeOutput for (ProbeReport, X) {
+    fn report(&self) -> &ProbeReport {
+        &self.0
+    }
+}
+
+/// The one per-probe routine every campaign and classification mode runs.
+/// It builds the probe's world from the shared template into the arena's
+/// recycled simulator containers and wires a transport over the arena's
+/// warm encoder — plus, when `timing` is on, the arena's recycled
+/// [`ProbeTimingLog`]. Then it runs the mode's `body` (which sees the
+/// scenario, the transport and the locator configuration), folds the
+/// filled log into `timing`, and hands the encoder, the log and the spent
+/// world's containers back for the worker's next probe. The whole probe
+/// and its world build run under wall-clock [`Span`]s; with `timing`
+/// absent every span is disabled and no log is attached.
+///
+/// Returns the body's output with the world's ground truth and the
+/// technique's expected verdict; the truth moves out of the consumed
+/// scenario, nothing is cloned.
+pub(crate) fn run_probe<R: ProbeOutput>(
     fleet: &Fleet,
-    built: &interception::BuiltScenario,
-) -> locator::LocatorConfig {
+    probe: &ProbeSpec,
+    template: &WorldTemplate,
+    arena: &mut WorkerArena,
+    timing: Option<&TimingRegistry>,
+    body: impl FnOnce(&HomeScenario, &mut SimTransport, LocatorConfig) -> R,
+) -> (R, GroundTruth, Option<InterceptorLocation>) {
+    let _probe_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_PROBE_TOTAL)));
+    let scenario = scenario_for(fleet, probe);
+    let built = {
+        let _build_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_WORLD_BUILD)));
+        scenario.build_with_scratch(template, std::mem::take(&mut arena.scratch))
+    };
     let mut config = built.locator_config();
     config.query_options.attempts = fleet.config.attempts;
     config.query_options.retry_backoff_ms = fleet.config.retry_backoff_ms;
-    config
+    let expected = built.expected;
+    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
+    if timing.is_some() {
+        let log = arena.timing_log.take().unwrap_or_else(|| Box::new(ProbeTimingLog::new()));
+        transport.attach_timing(log);
+    }
+    let out = body(&scenario, &mut transport, config);
+    arena.encoder = transport.take_encoder();
+    if let (Some(t), Some(mut log)) = (timing, transport.take_timing()) {
+        t.fold_probe(out.report(), &log);
+        log.clear();
+        arena.timing_log = Some(log);
+    }
+    let truth = transport.scenario.truth;
+    arena.scratch = transport.scenario.sim.into_scratch();
+    (out, truth, expected)
 }
 
 /// Measures a single probe.
 pub fn measure_probe<'a>(fleet: &Fleet, probe: &'a ProbeSpec) -> ProbeResult<'a> {
-    measure_probe_metered(fleet, probe, None)
+    measure_probe_with(fleet, probe, None, &WorldTemplate::shared(), &mut WorkerArena::new(), None)
 }
 
-/// Measures a single probe, folding its trace into `registry` when given.
-pub fn measure_probe_metered<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-) -> ProbeResult<'a> {
-    let template = WorldTemplate::shared();
-    let mut arena = WorkerArena::new();
-    measure_probe_with(fleet, probe, registry, &template, &mut arena)
-}
-
-/// The single measurement path every campaign entry point funnels
-/// through: build the probe's world from the shared template into the
-/// arena's recycled simulator containers, run the locator over a transport
-/// that reuses the arena's encode scratch, then hand both — the warm
-/// encoder and the world's containers — back for the worker's next probe.
+/// [`run_probe`] with the locator as the body, metered into `registry`
+/// when given: the measurement every campaign entry point without capture
+/// makes.
 fn measure_probe_with<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-    template: &WorldTemplate,
-    arena: &mut WorkerArena,
-) -> ProbeResult<'a> {
-    measure_probe_timed_with(fleet, probe, registry, template, arena, None)
-}
-
-/// [`measure_probe_with`] with optional latency observation: the whole
-/// probe and its world build run under wall-clock [`Span`]s, the transport
-/// carries the arena's recycled [`ProbeTimingLog`], and the filled log is
-/// folded into the shared registry before the arena takes it back for the
-/// worker's next probe. With `timing` absent every span is disabled and no
-/// log is attached, so the hot path stays exactly the untimed one.
-fn measure_probe_timed_with<'a>(
     fleet: &Fleet,
     probe: &'a ProbeSpec,
     registry: Option<&MetricsRegistry>,
@@ -492,73 +434,18 @@ fn measure_probe_timed_with<'a>(
     arena: &mut WorkerArena,
     timing: Option<&TimingRegistry>,
 ) -> ProbeResult<'a> {
-    let _probe_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_PROBE_TOTAL)));
-    let built = {
-        let _build_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_WORLD_BUILD)));
-        scenario_for(fleet, probe).build_with_scratch(template, std::mem::take(&mut arena.scratch))
-    };
-    let config = probe_config(fleet, &built);
-    let expected = built.expected;
-    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
-    if timing.is_some() {
-        let log = arena.timing_log.take().unwrap_or_else(|| Box::new(ProbeTimingLog::new()));
-        transport.attach_timing(log);
-    }
-    let report = run_locator(config, &mut transport, registry, probe.org);
-    arena.encoder = transport.take_encoder();
-    if let (Some(t), Some(mut log)) = (timing, transport.take_timing()) {
-        t.fold_probe(&report, &log);
-        log.clear();
-        arena.timing_log = Some(log);
-    }
-    // Ground truth moves out of the consumed scenario — nothing is cloned —
-    // and the spent simulator is torn back down into reusable capacity.
-    let truth = transport.scenario.truth;
-    arena.scratch = transport.scenario.sim.into_scratch();
+    let (report, truth, expected) =
+        run_probe(fleet, probe, template, arena, timing, |_, transport, config| {
+            run_locator(config, transport, registry, probe.org)
+        });
     ProbeResult { probe, report, truth, expected }
-}
-
-/// Measures a single probe with the flight recorder on, returning the
-/// reconstructed per-query hop timelines alongside the result.
-pub fn measure_probe_captured<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-) -> (ProbeResult<'a>, Vec<QueryFlow>) {
-    let template = WorldTemplate::shared();
-    let mut arena = WorkerArena::new();
-    measure_probe_captured_with(fleet, probe, None, &template, &mut arena)
-}
-
-/// [`measure_probe_with`] plus capture: identical build, config, and
-/// locator run, with the simulator's recorder switched on first. Capture
-/// draws no randomness and schedules no events, so the report matches the
-/// uncaptured path bit for bit.
-fn measure_probe_captured_with<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-    template: &WorldTemplate,
-    arena: &mut WorkerArena,
-) -> (ProbeResult<'a>, Vec<QueryFlow>) {
-    let built = scenario_for(fleet, probe)
-        .build_with_scratch(template, std::mem::take(&mut arena.scratch));
-    let config = probe_config(fleet, &built);
-    let expected = built.expected;
-    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
-    transport.enable_capture();
-    let report = run_locator(config, &mut transport, registry, probe.org);
-    let flows = transport.take_flows();
-    arena.encoder = transport.take_encoder();
-    let truth = transport.scenario.truth;
-    arena.scratch = transport.scenario.sim.into_scratch();
-    (ProbeResult { probe, report, truth, expected }, flows)
 }
 
 /// Runs the locator over any transport, recording metrics when asked.
 /// Shared by the live and archiving paths so both always measure — and
 /// meter — identically.
 fn run_locator<T: QueryTransport>(
-    config: locator::LocatorConfig,
+    config: LocatorConfig,
     transport: &mut T,
     registry: Option<&MetricsRegistry>,
     org: usize,
@@ -575,33 +462,23 @@ fn run_locator<T: QueryTransport>(
 }
 
 /// Measures a single probe while archiving every query/response byte —
-/// the raw dataset a real measurement study publishes.
+/// the raw dataset a real measurement study publishes. The locator runs
+/// through a [`RecordingTransport`] wrapped around the probe's live
+/// transport, so the report is the one [`measure_probe`] gives.
+///
+/// [`RecordingTransport`]: crate::raw::RecordingTransport
 pub fn measure_probe_archived<'a>(
     fleet: &Fleet,
     probe: &'a ProbeSpec,
 ) -> (ProbeResult<'a>, crate::raw::RawMeasurement) {
-    measure_probe_archived_metered(fleet, probe, None)
-}
-
-/// [`measure_probe_archived`] with optional metrics aggregation: the same
-/// template-backed build and metered locator path as
-/// [`measure_probe_metered`], wrapped in a [`RecordingTransport`] — so
-/// archiving composes with metrics instead of duplicating the build.
-///
-/// [`RecordingTransport`]: crate::raw::RecordingTransport
-pub fn measure_probe_archived_metered<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-) -> (ProbeResult<'a>, crate::raw::RawMeasurement) {
     let template = WorldTemplate::shared();
-    let built = scenario_for(fleet, probe).build_with(&template);
-    let config = probe_config(fleet, &built);
-    let expected = built.expected;
-    let mut recording = crate::raw::RecordingTransport::new(SimTransport::new(built));
-    let report = run_locator(config, &mut recording, registry, probe.org);
-    let (inner, measurement) = recording.into_parts();
-    let truth = inner.scenario.truth;
+    let mut arena = WorkerArena::new();
+    let ((report, measurement), truth, expected) =
+        run_probe(fleet, probe, &template, &mut arena, None, |_, transport, config| {
+            let mut recording = crate::raw::RecordingTransport::new(transport);
+            let report = run_locator(config, &mut recording, None, probe.org);
+            (report, recording.into_measurement())
+        });
     (ProbeResult { probe, report, truth, expected }, measurement)
 }
 
@@ -646,7 +523,8 @@ mod tests {
     fn metered_campaign_changes_no_report_and_aggregates_every_probe() {
         let fleet = tiny_fleet();
         let registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let metered = run_campaign_metered(fleet, 4, Some(&registry));
+        let metered =
+            run_campaign_configured(fleet, CampaignOptions::new(4), Some(&registry), None);
         let plain = tiny_campaign(4);
         assert_eq!(metered.len(), plain.len());
         for (a, b) in metered.iter().zip(&plain) {
@@ -671,7 +549,7 @@ mod tests {
         let fleet = tiny_fleet();
         let snapshot = |threads: usize| {
             let registry = MetricsRegistry::new(fleet.config.orgs.len());
-            run_campaign_metered(fleet, threads, Some(&registry));
+            run_campaign_configured(fleet, CampaignOptions::new(threads), Some(&registry), None);
             registry.snapshot(&fleet.config.orgs)
         };
         assert_eq!(snapshot(1), snapshot(7));
@@ -681,7 +559,8 @@ mod tests {
     fn observed_campaign_counts_every_probe_and_changes_nothing() {
         let fleet = tiny_fleet();
         let telemetry = CampaignTelemetry::new(4);
-        let observed = run_campaign_observed(fleet, 4, None, Some(&telemetry));
+        let observed =
+            run_campaign_configured(fleet, CampaignOptions::new(4), None, Some(&telemetry));
         let plain = tiny_campaign(4);
         assert_eq!(observed.len(), plain.len());
         for (a, b) in observed.iter().zip(&plain) {
@@ -698,10 +577,11 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_inline_path_still_feeds_telemetry() {
+    fn single_thread_campaign_feeds_telemetry() {
         let fleet = tiny_fleet();
         let telemetry = CampaignTelemetry::new(1);
-        let results = run_campaign_observed(fleet, 1, None, Some(&telemetry));
+        let results =
+            run_campaign_configured(fleet, CampaignOptions::new(1), None, Some(&telemetry));
         let ev = telemetry.snapshot(0, true);
         assert_eq!(ev.completed, results.len() as u64);
         assert_eq!(ev.per_worker_claims, vec![results.len() as u64]);
@@ -713,7 +593,8 @@ mod tests {
         let registry = MetricsRegistry::new(fleet.config.orgs.len());
         let captured = run_campaign_captured(fleet, 4, Some(&registry), None);
         let plain_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let plain = run_campaign_metered(fleet, 4, Some(&plain_registry));
+        let plain =
+            run_campaign_configured(fleet, CampaignOptions::new(4), Some(&plain_registry), None);
         assert_eq!(captured.len(), plain.len());
         for ((a, flows), b) in captured.iter().zip(&plain) {
             assert_eq!(a.report, b.report, "capture must not change probe {}", a.probe.id);
@@ -752,29 +633,19 @@ mod tests {
     fn campaign_folds_scheduler_totals_into_metrics() {
         let fleet = tiny_fleet();
         let registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let results = run_campaign_metered(fleet, 4, Some(&registry));
+        let results =
+            run_campaign_configured(fleet, CampaignOptions::new(4), Some(&registry), None);
         let snap = registry.snapshot(&fleet.config.orgs);
         assert_eq!(snap.probes_claimed, results.len() as u64);
         assert_eq!(snap.probes_completed, results.len() as u64);
         // Single-probe paths leave the scheduler totals untouched.
         let solo = MetricsRegistry::new(fleet.config.orgs.len());
-        measure_probe_metered(fleet, fleet.responding().next().unwrap(), Some(&solo));
+        let probe = fleet.responding().next().unwrap();
+        let template = WorldTemplate::shared();
+        measure_probe_with(fleet, probe, Some(&solo), &template, &mut WorkerArena::new(), None);
         let snap = solo.snapshot(&fleet.config.orgs);
         assert_eq!(snap.probes_claimed, 0);
         assert_eq!(snap.probes_completed, 0);
-    }
-
-    #[test]
-    fn chunked_scheduler_matches_work_stealing_bitwise() {
-        let fleet = tiny_fleet();
-        let stealing = run_campaign_metered(fleet, 5, None);
-        let chunked = run_campaign_chunked(fleet, 5, None);
-        assert_eq!(stealing.len(), chunked.len());
-        for (a, b) in stealing.iter().zip(&chunked) {
-            assert_eq!(a.probe.id, b.probe.id);
-            assert_eq!(a.report, b.report);
-            assert_eq!(a.truth, b.truth);
-        }
     }
 
     #[test]
@@ -787,25 +658,6 @@ mod tests {
         for (a, b) in few.iter().zip(&many) {
             assert_eq!(a.report, b.report);
         }
-    }
-
-    #[test]
-    fn archived_metered_composes_with_metrics() {
-        // Archiving through the metered path feeds the registry exactly as
-        // the live metered path does, and the reports stay identical.
-        let fleet = generate(FleetConfig { size: 60, ..FleetConfig::default() });
-        let probe = fleet.responding().next().unwrap();
-        let live_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let live = measure_probe_metered(&fleet, probe, Some(&live_registry));
-        let archived_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let (archived, measurement) =
-            measure_probe_archived_metered(&fleet, probe, Some(&archived_registry));
-        assert_eq!(live.report, archived.report);
-        assert_eq!(measurement.records.len() as u32, live.report.wire_attempts);
-        assert_eq!(
-            live_registry.snapshot(&fleet.config.orgs),
-            archived_registry.snapshot(&fleet.config.orgs)
-        );
     }
 
     #[test]

@@ -33,13 +33,15 @@
 //! capture never disagree on a healthy simulator — the cross-check is the
 //! ground-truthing harness the acceptance tests gate on.
 
-use crate::campaign::{probe_config, run_collected, run_work_stealing, CampaignOptions, WorkerArena};
-use crate::fleet::{scenario_for, Fleet, ProbeSpec};
-use crate::timing::{TimingRegistry, WALL_PROBE_TOTAL, WALL_WORLD_BUILD};
+use crate::campaign::{
+    run_collected, run_probe, run_work_stealing, CampaignOptions, ProbeOutput, WorkerArena,
+};
+use crate::fleet::{Fleet, ProbeSpec};
+use crate::timing::TimingRegistry;
 use dns_wire::{debug_queries, Question, RData, RType};
 use interception::{
-    flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, ProbeTimingLog, QueryFlow,
-    SimTransport, Vantage, WorldTemplate,
+    flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, QueryFlow, SimTransport, Vantage,
+    WorldTemplate,
 };
 use locator::{
     HijackLocator, InterceptorLocation, LocatorConfig, ProbeReport, QueryOptions, QueryOutcome,
@@ -48,7 +50,6 @@ use locator::{
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
-use timing::Span;
 
 /// Transaction ID of the scanner's ordinary `A` probe. Far above the
 /// locator's sequence (0x1000–0x5fff) and the forwarder re-key pool
@@ -278,64 +279,41 @@ pub fn classify_scenario(scenario: HomeScenario) -> ClassifiedDevice {
     classify_with_transport(&mut transport, config)
 }
 
+/// One fleet device through the decision tree: [`run_probe`] with
+/// [`classify_with_transport`] as the body. With `timing` on, besides the
+/// per-phase folding every mode gets, each completed flow in the device's
+/// capture contributes its flight-recorder RTT (first egress hop to the
+/// answer's return at the same node) to the histogram of the device's
+/// *classified* taxonomy class — the distribution that makes the paper's
+/// "local answers come back fast" signature visible: DNAT-intercepted
+/// devices answer from the CPE in microseconds of virtual time, clean
+/// paths pay the full upstream round trip.
 fn classify_probe_with<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    template: &WorldTemplate,
-    arena: &mut WorkerArena,
-) -> DeviceClassification<'a> {
-    classify_probe_timed_with(fleet, probe, template, arena, None)
-}
-
-/// [`classify_probe_with`] with the latency observer attached. Besides
-/// the per-phase folding the measurement path does, every completed flow
-/// in the device's capture contributes its flight-recorder RTT (first
-/// egress hop to the answer's return at the same node) to the histogram
-/// of the device's *classified* taxonomy class — the distribution that
-/// makes the paper's "local answers come back fast" signature visible:
-/// DNAT-intercepted devices answer from the CPE in microseconds of
-/// virtual time, clean paths pay the full upstream round trip.
-fn classify_probe_timed_with<'a>(
     fleet: &Fleet,
     probe: &'a ProbeSpec,
     template: &WorldTemplate,
     arena: &mut WorkerArena,
     timing: Option<&TimingRegistry>,
 ) -> DeviceClassification<'a> {
-    let _probe_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_PROBE_TOTAL)));
-    let scenario = scenario_for(fleet, probe);
-    let truth_class = scenario.open_dns_class();
-    let built = {
-        let _build_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_WORLD_BUILD)));
-        scenario.build_with_scratch(template, std::mem::take(&mut arena.scratch))
-    };
-    let config = probe_config(fleet, &built);
-    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
-    if timing.is_some() {
-        let log = arena.timing_log.take().unwrap_or_else(|| Box::new(ProbeTimingLog::new()));
-        transport.attach_timing(log);
-    }
-    let device = classify_with_transport(&mut transport, config);
-    arena.encoder = transport.take_encoder();
-    if let (Some(t), Some(mut log)) = (timing, transport.take_timing()) {
-        t.fold_probe(&device.report, &log);
-        log.clear();
-        arena.timing_log = Some(log);
-        for flow in &device.flows {
-            if let Some(rtt) = flow_rtt_us(flow) {
-                t.record_class_rtt(device.class, rtt);
+    let (classified, _, _) =
+        run_probe(fleet, probe, template, arena, timing, |scenario, transport, config| {
+            let device = classify_with_transport(transport, config);
+            if let Some(t) = timing {
+                for flow in &device.flows {
+                    if let Some(rtt) = flow_rtt_us(flow) {
+                        t.record_class_rtt(device.class, rtt);
+                    }
+                }
             }
-        }
-    }
-    arena.scratch = transport.scenario.sim.into_scratch();
-    DeviceClassification { probe, truth_class, device }
+            DeviceClassification { probe, truth_class: scenario.open_dns_class(), device }
+        });
+    classified
 }
 
-/// Classifies a single fleet device.
-pub fn classify_probe<'a>(fleet: &Fleet, probe: &'a ProbeSpec) -> DeviceClassification<'a> {
-    let template = WorldTemplate::shared();
-    let mut arena = WorkerArena::new();
-    classify_probe_with(fleet, probe, &template, &mut arena)
+impl ProbeOutput for DeviceClassification<'_> {
+    fn report(&self) -> &ProbeReport {
+        &self.device.report
+    }
 }
 
 /// Classifies every responding device in the fleet, collecting each
@@ -349,7 +327,7 @@ pub fn run_classification<'a>(
     let responding: Vec<&ProbeSpec> = fleet.responding().collect();
     let template = WorldTemplate::shared();
     run_collected(&responding, options, None, |probe, arena| {
-        classify_probe_with(fleet, probe, &template, arena)
+        classify_probe_with(fleet, probe, &template, arena, None)
     })
 }
 
@@ -381,7 +359,7 @@ pub fn run_classification_timed(
         &responding,
         options,
         None,
-        |probe, arena| classify_probe_timed_with(fleet, probe, &template, arena, timing),
+        |probe, arena| classify_probe_with(fleet, probe, &template, arena, timing),
         ClassifySummary::default,
         |acc: &mut ClassifySummary, _idx, c| acc.fold(&c),
     );

@@ -1,7 +1,7 @@
 //! Property tests for the campaign's two observer contracts.
 //!
 //! Scheduling is an implementation detail: work stealing at any thread
-//! count — and the legacy static-chunk schedule — must produce results,
+//! count must produce results,
 //! ground truth, expectations, and metrics snapshots bitwise identical to
 //! a single-threaded run, on fleets with a heavy retry tail where the
 //! schedules themselves diverge the most.
@@ -11,11 +11,19 @@
 //! hop timeline.
 
 use atlas_sim::{
-    generate, run_campaign_captured, run_campaign_chunked, run_campaign_configured,
-    run_campaign_metered, run_campaign_streaming, AggregateReport, CampaignOptions,
-    CampaignTelemetry, FleetConfig, MetricsRegistry,
+    generate, run_campaign_captured, run_campaign_configured, run_campaign_timed, AggregateReport,
+    CampaignOptions, CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry, ProbeResult,
 };
 use proptest::prelude::*;
+
+/// A collect-all campaign at `threads` workers, metered into `registry`.
+fn metered<'a>(
+    fleet: &'a Fleet,
+    threads: usize,
+    registry: &MetricsRegistry,
+) -> Vec<ProbeResult<'a>> {
+    run_campaign_configured(fleet, CampaignOptions::new(threads), Some(registry), None)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
@@ -35,14 +43,14 @@ proptest! {
         });
 
         let baseline_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let baseline = run_campaign_metered(&fleet, 1, Some(&baseline_registry));
+        let baseline = metered(&fleet, 1, &baseline_registry);
         let baseline_snap = baseline_registry.snapshot(&fleet.config.orgs);
         let baseline_json =
             serde_json::to_string(&baseline_snap).expect("snapshot serializes");
 
         for threads in [3usize, 7, 16] {
             let registry = MetricsRegistry::new(fleet.config.orgs.len());
-            let results = run_campaign_metered(&fleet, threads, Some(&registry));
+            let results = metered(&fleet, threads, &registry);
             prop_assert_eq!(results.len(), baseline.len());
             for (a, b) in results.iter().zip(&baseline) {
                 prop_assert_eq!(a.probe.id, b.probe.id);
@@ -59,21 +67,6 @@ proptest! {
                 &baseline_json
             );
         }
-
-        // The static-chunk schedule visits probes in a different
-        // interleaving entirely; it must still be indistinguishable.
-        let chunked_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let chunked = run_campaign_chunked(&fleet, 5, Some(&chunked_registry));
-        prop_assert_eq!(chunked.len(), baseline.len());
-        for (a, b) in chunked.iter().zip(&baseline) {
-            prop_assert_eq!(a.probe.id, b.probe.id);
-            prop_assert_eq!(&a.report, &b.report);
-            prop_assert_eq!(&a.truth, &b.truth);
-        }
-        prop_assert_eq!(
-            chunked_registry.snapshot(&fleet.config.orgs),
-            baseline_snap
-        );
     }
 
     #[test]
@@ -91,7 +84,7 @@ proptest! {
         });
 
         let baseline_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let baseline = run_campaign_metered(&fleet, 1, Some(&baseline_registry));
+        let baseline = metered(&fleet, 1, &baseline_registry);
         let baseline_snap = baseline_registry.snapshot(&fleet.config.orgs);
         let baseline_json =
             serde_json::to_string(&baseline_snap).expect("snapshot serializes");
@@ -143,7 +136,7 @@ proptest! {
                 );
 
                 // Streaming fold: same aggregate as folding the baseline.
-                let streaming = run_campaign_streaming(&fleet, options, None, None);
+                let streaming = run_campaign_timed(&fleet, options, None, None, None);
                 prop_assert_eq!(streaming.probes(), n);
                 prop_assert_eq!(streaming.finish(15), reference_summary.clone());
             }
@@ -166,7 +159,7 @@ proptest! {
 
         // Capture off: the reference reports and metrics.
         let off_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let off = run_campaign_metered(&fleet, 1, Some(&off_registry));
+        let off = metered(&fleet, 1, &off_registry);
         let off_snap = off_registry.snapshot(&fleet.config.orgs);
 
         // Capture on, single-threaded: bitwise-identical reports and

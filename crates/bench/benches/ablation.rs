@@ -10,10 +10,10 @@
 //! 3. **Bogon-query usefulness** — how much localization step 3 adds over
 //!    stopping after step 2.
 //!
-//! These print accuracy tables (shape results) and then time the panel
-//! variants under criterion.
+//! These print accuracy tables (shape results); ablation 4 also asserts
+//! its conservative-timeout property. Run with
+//! `cargo bench -p hijack-bench --bench ablation`.
 
-use criterion::{Criterion, criterion_group, criterion_main};
 use interception::{CpeModelKind, HomeScenario, MiddleboxSpec, SimTransport};
 use locator::baseline::{a_record_cpe_check, ARecordVerdict};
 use locator::{
@@ -210,34 +210,9 @@ fn ablation_loss_conservativeness() {
     }
 }
 
-fn bench_panels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/panel_cost");
-    group.sample_size(20);
-    for (label, panel) in [
-        ("one_resolver", vec![ResolverKey::Google]),
-        ("four_resolvers", ResolverKey::ALL.to_vec()),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let built = HomeScenario::xb6_case_study().build();
-                let config = config_with_panel(&built, &panel);
-                let mut transport = SimTransport::new(built);
-                HijackLocator::new(config).run(&mut transport)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn run_accuracy_ablations(c: &mut Criterion) {
-    // The accuracy studies are cheap; print them once before timing.
+fn main() {
     ablation_panel_size();
     ablation_step2_method();
     ablation_bogon_value();
     ablation_loss_conservativeness();
-    println!();
-    bench_panels(c);
 }
-
-criterion_group!(benches, run_accuracy_ablations);
-criterion_main!(benches);

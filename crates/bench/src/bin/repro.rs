@@ -12,8 +12,8 @@
 
 use atlas_sim::{
     accuracy, classification_fleet, figure3, figure4, generate, prometheus_exposition,
-    retry_stats, run_campaign_chunked, run_campaign_configured, run_campaign_configured_timed,
-    run_campaign_streaming, run_classification_timed, scenario_for, table4, table5,
+    retry_stats, run_campaign_configured, run_campaign_configured_timed, run_campaign_timed,
+    run_classification_timed, scenario_for, table4, table5,
     CampaignOptions, CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry, ProbeResult,
     ProgressEvent, TimingRegistry,
 };
@@ -425,8 +425,8 @@ fn batched_makespan(costs: &[f64], threads: usize, batch: usize) -> f64 {
 
 /// `--bench-json`: benchmarks the campaign scheduler end to end on a
 /// heavy-tail fleet (25% flaky probes burning retry backoff — the
-/// workload where static chunking leaves workers idle) and writes one
-/// JSON report with four sections:
+/// workload where static chunking would leave workers idle) and writes
+/// one JSON report with these sections:
 ///
 /// 1. `single_thread` — wall clock of the 1-thread run over the sweep
 ///    fleet (`--bench-probes`, default `--size`), with a flag for the
@@ -477,7 +477,6 @@ fn run_bench_json(args: &Args) {
     #[derive(serde::Serialize)]
     struct MeasuredSchedulers {
         single_thread: Timing,
-        static_chunks: Timing,
         work_stealing: Timing,
         results_identical: bool,
     }
@@ -595,7 +594,7 @@ fn run_bench_json(args: &Args) {
         wall_per_phase: phase_latency(&timing_snapshot.wall_clock.per_phase),
     };
 
-    // Measured scheduler shoot-out at the requested thread count.
+    // Measured runs at one thread and at the requested thread count.
     let timed = |results: &[ProbeResult], seconds: f64| Timing {
         seconds,
         probes_per_sec: if seconds > 0.0 { results.len() as f64 / seconds } else { 0.0 },
@@ -629,22 +628,13 @@ fn run_bench_json(args: &Args) {
         per_probe_allocs.bytes_per_probe,
         per_probe_allocs.steady_state_wire_path_allocs
     );
-    let t = Instant::now();
-    let chunked = run_campaign_chunked(&fleet, threads, None);
-    let chunked_s = t.elapsed().as_secs_f64();
     let (stealing, stealing_s) = run_stealing(threads);
     let results_identical = single.len() == stealing.len()
-        && chunked.len() == stealing.len()
-        && stealing
-            .iter()
-            .zip(&single)
-            .zip(&chunked)
-            .all(|((a, b), c)| a.report == b.report && a.report == c.report);
+        && stealing.iter().zip(&single).all(|(a, b)| a.report == b.report);
     let meets_floor = single_s >= 1.5;
     eprintln!(
-        "bench: single {single_s:.2}s (1.5s sweep floor met: {meets_floor}), static \
-         chunks {chunked_s:.2}s, work stealing {stealing_s:.2}s \
-         (identical results: {results_identical})"
+        "bench: single {single_s:.2}s (1.5s sweep floor met: {meets_floor}), \
+         work stealing {stealing_s:.2}s (identical results: {results_identical})"
     );
     if !meets_floor {
         eprintln!(
@@ -728,7 +718,7 @@ fn run_bench_json(args: &Args) {
     let streaming_point = |size: usize| {
         let fleet = bench_fleet(size);
         let rss_before_kb = rss_kb();
-        let report = run_campaign_streaming(&fleet, options, None, None);
+        let report = run_campaign_timed(&fleet, options, None, None, None);
         let rss_after_kb = rss_kb();
         let probes = report.probes() as usize;
         eprintln!(
@@ -766,7 +756,7 @@ fn run_bench_json(args: &Args) {
     // is steady-state, not first-touch.
     {
         let warm = bench_fleet(mem_points[0]);
-        let _ = run_campaign_streaming(&warm, options, None, None);
+        let _ = run_campaign_timed(&warm, options, None, None, None);
     }
     let streaming: Vec<MemPoint> = mem_points.iter().map(|&s| streaming_point(s)).collect();
     let collect_all: Vec<MemPoint> = collect_points.iter().map(|&s| collect_point(s)).collect();
@@ -778,7 +768,7 @@ fn run_bench_json(args: &Args) {
     eprintln!("bench: streaming_is_flat = {streaming_is_flat}");
 
     let report = BenchReport {
-        schema_version: 4,
+        schema_version: 5,
         config: BenchConfig {
             size,
             responding,
@@ -798,7 +788,6 @@ fn run_bench_json(args: &Args) {
         per_probe_allocs,
         measured_schedulers: MeasuredSchedulers {
             single_thread: timed(&single, single_s),
-            static_chunks: timed(&chunked, chunked_s),
             work_stealing: timed(&stealing, stealing_s),
             results_identical,
         },

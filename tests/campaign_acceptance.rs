@@ -2,7 +2,9 @@
 //! diffs on every push, and the full-size 10k-probe provenance sweep that
 //! runs under `--include-ignored`.
 
-use atlas_sim::{generate, run_campaign, run_campaign_metered, FleetConfig, MetricsRegistry};
+use atlas_sim::{
+    generate, run_campaign, run_campaign_configured, CampaignOptions, FleetConfig, MetricsRegistry,
+};
 use std::path::PathBuf;
 
 fn golden_metrics_path() -> PathBuf {
@@ -16,7 +18,7 @@ fn golden_metrics_path() -> PathBuf {
 fn metrics_for_a_200_probe_campaign_match_the_checked_in_expectation() {
     let fleet = generate(FleetConfig { size: 200, ..FleetConfig::default() });
     let registry = MetricsRegistry::new(fleet.config.orgs.len());
-    let results = run_campaign_metered(&fleet, 4, Some(&registry));
+    let results = run_campaign_configured(&fleet, CampaignOptions::new(4), Some(&registry), None);
     assert_eq!(results.len(), 200);
 
     let snapshot = registry.snapshot(&fleet.config.orgs);
@@ -95,7 +97,8 @@ fn capture_enabled_200_probe_campaign_is_bitwise_identical() {
     let fleet = generate(FleetConfig { size: 200, ..FleetConfig::default() });
 
     let plain_registry = MetricsRegistry::new(fleet.config.orgs.len());
-    let plain = run_campaign_metered(&fleet, 4, Some(&plain_registry));
+    let plain =
+        run_campaign_configured(&fleet, CampaignOptions::new(4), Some(&plain_registry), None);
 
     let captured_registry = MetricsRegistry::new(fleet.config.orgs.len());
     let captured = atlas_sim::run_campaign_captured(&fleet, 4, Some(&captured_registry), None);
