@@ -38,7 +38,7 @@ use crate::campaign::{
 };
 use crate::fleet::{Fleet, ProbeSpec};
 use crate::timing::TimingRegistry;
-use dns_wire::{debug_queries, Question, RData, RType};
+use dns_wire::{debug_queries, Name, Question, RData, RType};
 use interception::{
     flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, QueryFlow, SimTransport, Vantage,
     WorldTemplate,
@@ -47,9 +47,10 @@ use locator::{
     HijackLocator, InterceptorLocation, LocatorConfig, ProbeReport, QueryOptions, QueryOutcome,
     QueryTransport,
 };
+use netsim::{HopAction, NatPhase};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 /// Transaction ID of the scanner's ordinary `A` probe. Far above the
 /// locator's sequence (0x1000–0x5fff) and the forwarder re-key pool
@@ -62,6 +63,10 @@ pub const SCAN_WHOAMI_TXID: u16 = 0xC1A1;
 /// The name the scanner's ordinary probe asks for (resolvable in the
 /// simulated world's standard zones).
 pub const SCAN_QNAME: &str = "example.com";
+
+fn scan_qname() -> Name {
+    SCAN_QNAME.parse().expect("static name")
+}
 
 /// What one classification run of a single device yields.
 #[derive(Debug, Clone)]
@@ -240,7 +245,7 @@ pub fn classify_with_transport(
     let cpe_v4 = transport.scenario.addrs.cpe_public_v4;
     let target = IpAddr::V4(cpe_v4);
     let opts = QueryOptions::default();
-    let scan_q = Question::new(SCAN_QNAME.parse().expect("static name"), RType::A);
+    let scan_q = Question::new(scan_qname(), RType::A);
     let (class, wrong_source) = match transport.query(target, &scan_q, SCAN_A_TXID, opts) {
         QueryOutcome::WrongSource { from, .. } => (OpenDnsClass::TransparentForwarder, Some(from)),
         QueryOutcome::Timeout => {
@@ -370,26 +375,26 @@ pub fn run_classification_timed(
     merged
 }
 
-fn scanner_answer_source(flows: &[QueryFlow], txid: u16) -> Option<&str> {
+fn scanner_answer_source(flows: &[QueryFlow], txid: u16) -> Option<SocketAddr> {
     flows.iter().find(|f| f.txid == txid).and_then(|f| {
         f.hops
             .iter()
             .find(|h| {
-                h.node == "scanner"
-                    && h.action == "ingress"
+                &*h.node == "scanner"
+                    && h.action == HopAction::Ingress
                     && h.direction == FlowDirection::Response
             })
-            .map(|h| h.src.as_str())
+            .map(|h| h.src)
     })
 }
 
 /// A flow for `qname` that was minted neither by the probe nor by the
 /// scanner — the re-keyed upstream relay a forwarder spawns.
-fn relayed_beyond_home(flows: &[QueryFlow], qname: &str, skip: &[u16]) -> bool {
+fn relayed_beyond_home(flows: &[QueryFlow], qname: &Name, skip: &[u16]) -> bool {
     flows.iter().any(|f| {
         !skip.contains(&f.txid)
-            && f.qname == qname
-            && f.hops.first().is_some_and(|h| h.node != "probe" && h.node != "scanner")
+            && f.qname.as_ref() == Some(qname)
+            && f.hops.first().is_some_and(|h| &*h.node != "probe" && &*h.node != "scanner")
     })
 }
 
@@ -407,29 +412,28 @@ fn relayed_beyond_home(flows: &[QueryFlow], qname: &str, skip: &[u16]) -> bool {
 ///   rewrite and a locally minted answer.
 /// * **Clean** — the scanner must never have received a DNS response.
 pub fn capture_consistent(class: OpenDnsClass, flows: &[QueryFlow], cpe_v4: Ipv4Addr) -> bool {
-    let cpe_prefix = format!("{cpe_v4}:");
+    let from_cpe = |src: SocketAddr| src.ip() == IpAddr::V4(cpe_v4);
     let scan_txids = [SCAN_A_TXID, SCAN_WHOAMI_TXID];
     match class {
-        OpenDnsClass::TransparentForwarder => scanner_answer_source(flows, SCAN_A_TXID)
-            .is_some_and(|src| !src.starts_with(&cpe_prefix)),
+        OpenDnsClass::TransparentForwarder => {
+            scanner_answer_source(flows, SCAN_A_TXID).is_some_and(|src| !from_cpe(src))
+        }
         OpenDnsClass::OpenForwarder => {
-            scanner_answer_source(flows, SCAN_A_TXID)
-                .is_some_and(|src| src.starts_with(&cpe_prefix))
-                && relayed_beyond_home(flows, &format!("{SCAN_QNAME}."), &scan_txids)
+            scanner_answer_source(flows, SCAN_A_TXID).is_some_and(from_cpe)
+                && relayed_beyond_home(flows, &scan_qname(), &scan_txids)
         }
         OpenDnsClass::OpenRecursive => {
-            scanner_answer_source(flows, SCAN_WHOAMI_TXID)
-                .is_some_and(|src| src.starts_with(&cpe_prefix))
-                && !relayed_beyond_home(flows, "whoami.akamai.com.", &scan_txids)
+            scanner_answer_source(flows, SCAN_WHOAMI_TXID).is_some_and(from_cpe)
+                && !relayed_beyond_home(flows, &debug_queries::whoami_akamai(), &scan_txids)
         }
         OpenDnsClass::DnatInterceptor => {
-            flows.iter().any(|f| f.hops.iter().any(|h| h.action == "nat(dnat)"))
-                && flows.iter().any(|f| f.hops.iter().any(|h| h.action == "mint"))
+            let any_hop = |action| flows.iter().any(|f| f.hops.iter().any(|h| h.action == action));
+            any_hop(HopAction::Nat(NatPhase::Dnat)) && any_hop(HopAction::Mint)
         }
         OpenDnsClass::Clean => !flows.iter().any(|f| {
             f.hops
                 .iter()
-                .any(|h| h.node == "scanner" && h.direction == FlowDirection::Response)
+                .any(|h| &*h.node == "scanner" && h.direction == FlowDirection::Response)
         }),
     }
 }

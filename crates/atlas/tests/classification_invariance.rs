@@ -13,7 +13,9 @@ use atlas_sim::{
     ClassifySummary,
 };
 use interception::{FlowDirection, OpenDnsClass};
+use netsim::HopAction;
 use proptest::prelude::*;
+use std::net::IpAddr;
 
 proptest! {
     // Each case classifies several hundred simulated homes across the
@@ -105,13 +107,12 @@ proptest! {
             }
             transparent += 1;
             let queried = atlas_sim::scenario_for(&fleet, r.probe).build().addrs.cpe_public_v4;
-            let queried_prefix = format!("{queried}:");
             let foreign = r.device.flows.iter().any(|f| {
                 f.hops.iter().any(|h| {
-                    h.node == "scanner"
-                        && h.action == "ingress"
+                    &*h.node == "scanner"
+                        && h.action == HopAction::Ingress
                         && h.direction == FlowDirection::Response
-                        && !h.src.starts_with(&queried_prefix)
+                        && h.src.ip() != IpAddr::V4(queried)
                 })
             });
             prop_assert!(

@@ -8,12 +8,19 @@
 //!    disabled, two identical campaign runs allocate exactly the same
 //!    number of allocations and bytes; with it enabled, reports stay
 //!    bitwise identical.
+//! 3. **Capture on stays cheap.** A taxonomy scan — flight recorder on,
+//!    flows rebuilt and cross-checked for every device — stays under a
+//!    per-device allocation budget: typed hops allocate per flow, never
+//!    per hop.
 //!
-//! Both run inside one `#[test]` because the counter is a process global;
+//! All three run inside one `#[test]` because the counter is a process global;
 //! parallel test threads would bleed into each other's deltas. Run with
 //! `cargo test --release -p hijack-bench --test campaign_allocs`.
 
-use atlas_sim::{generate, run_campaign, run_campaign_captured, FleetConfig};
+use atlas_sim::{
+    classification_fleet, generate, run_campaign, run_campaign_captured,
+    run_classification_streaming, CampaignOptions, FleetConfig,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -148,8 +155,39 @@ fn assert_capture_zero_cost() {
     assert_eq!(reports_a, reports_c, "enabling the flight recorder must not change any report");
 }
 
+/// Per-device allocation budget of a capture-on taxonomy scan. Rebuilding
+/// ~12 flows of ~240 hops from the flight recorder once cost ~2,150
+/// allocations per device, ~1,900 of them strings built per hop; with
+/// typed hops the whole device costs ~310. One `String` per hop put back (~240 more per
+/// device) fails this budget.
+const MAX_ALLOCS_PER_CLASSIFIED_DEVICE: f64 = 400.0;
+
+/// Allocations per classified device on a fixed mixed-taxonomy fleet, one
+/// worker, after a warm-up run so once-per-process structures are built.
+fn assert_classification_budget() {
+    let fleet = classification_fleet(400, 7);
+    let options = CampaignOptions::new(1);
+    let _ = run_classification_streaming(&fleet, options);
+    let (count0, bytes0) = counters();
+    let summary = run_classification_streaming(&fleet, options);
+    let (count1, bytes1) = counters();
+    let devices = summary.probes as f64;
+    let per_device = (count1 - count0) as f64 / devices;
+    eprintln!(
+        "capture-on classification: {per_device:.0} allocs/device ({:.0} B) over {devices} devices",
+        (bytes1 - bytes0) as f64 / devices
+    );
+    assert_eq!(summary.capture_unconfirmed, 0, "every verdict must be corroborated");
+    assert!(
+        per_device <= MAX_ALLOCS_PER_CLASSIFIED_DEVICE,
+        "capture-on classification allocations regressed past the budget: \
+         {per_device:.0} > {MAX_ALLOCS_PER_CLASSIFIED_DEVICE}"
+    );
+}
+
 #[test]
 fn campaign_allocations_stay_flat_and_capture_off_costs_nothing() {
     assert_allocation_flatness();
     assert_capture_zero_cost();
+    assert_classification_budget();
 }

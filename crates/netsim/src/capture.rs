@@ -33,18 +33,6 @@ pub enum FaultCause {
     UniformLoss,
 }
 
-impl FaultCause {
-    /// Short lower-case label for renderings.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultCause::Unattached => "unattached",
-            FaultCause::LinkDown => "link-down",
-            FaultCause::BurstLoss => "burst-loss",
-            FaultCause::UniformLoss => "uniform-loss",
-        }
-    }
-}
-
 /// Which rewrite a NAT engine performed on a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NatPhase {
@@ -71,16 +59,6 @@ impl NatPhase {
             (false, false) => None,
         }
     }
-
-    /// Short lower-case label for renderings.
-    pub fn label(self) -> &'static str {
-        match self {
-            NatPhase::Dnat => "dnat",
-            NatPhase::Snat => "snat",
-            NatPhase::DnatSnat => "dnat+snat",
-            NatPhase::Reverse => "reverse",
-        }
-    }
 }
 
 /// Why a router refused to forward a packet.
@@ -92,17 +70,6 @@ pub enum DropReason {
     TtlExpired,
     /// No route to the destination.
     NoRoute,
-}
-
-impl DropReason {
-    /// Short lower-case label for renderings.
-    pub fn label(self) -> &'static str {
-        match self {
-            DropReason::BogonDestination => "bogon-destination",
-            DropReason::TtlExpired => "ttl-expired",
-            DropReason::NoRoute => "no-route",
-        }
-    }
 }
 
 /// What happened at one hop of a packet's flight.
@@ -192,19 +159,68 @@ impl CaptureKind {
         }
     }
 
-    /// Short lower-case verb for renderings (e.g. `"ingress"`,
-    /// `"drop(burst-loss)"`, `"nat(dnat)"`).
-    pub fn verb(&self) -> String {
+    /// What happened at this hop, as a `Copy` tag with no packet attached.
+    pub fn action(&self) -> HopAction {
         match self {
-            CaptureKind::Ingress { .. } => "ingress".to_string(),
-            CaptureKind::Egress { .. } => "egress".to_string(),
-            CaptureKind::FaultDrop { cause, .. } => format!("drop({})", cause.label()),
-            CaptureKind::Duplicated { .. } => "duplicated".to_string(),
-            CaptureKind::Delayed { .. } => "delayed".to_string(),
-            CaptureKind::NatRewrite { phase, .. } => format!("nat({})", phase.label()),
-            CaptureKind::RouteForward { .. } => "forward".to_string(),
-            CaptureKind::RouteDrop { reason, .. } => format!("drop({})", reason.label()),
-            CaptureKind::LocalMint { .. } => "mint".to_string(),
+            CaptureKind::Ingress { .. } => HopAction::Ingress,
+            CaptureKind::Egress { .. } => HopAction::Egress,
+            CaptureKind::FaultDrop { cause, .. } => HopAction::FaultDrop(*cause),
+            CaptureKind::Duplicated { .. } => HopAction::Duplicated,
+            CaptureKind::Delayed { .. } => HopAction::Delayed,
+            CaptureKind::NatRewrite { phase, .. } => HopAction::Nat(*phase),
+            CaptureKind::RouteForward { .. } => HopAction::Forward,
+            CaptureKind::RouteDrop { reason, .. } => HopAction::RouteDrop(*reason),
+            CaptureKind::LocalMint { .. } => HopAction::Mint,
+        }
+    }
+}
+
+/// The action of one capture hop, without its packet: what flow timelines
+/// store per hop and what cross-checks compare against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HopAction {
+    /// Delivered to a device's interface.
+    Ingress,
+    /// Transmitted out of an interface.
+    Egress,
+    /// Dropped by the fault layer.
+    FaultDrop(FaultCause),
+    /// Scheduled for a second delivery.
+    Duplicated,
+    /// Detained by the late-delivery fault.
+    Delayed,
+    /// Rewritten by a NAT engine.
+    Nat(NatPhase),
+    /// Routed out of a chosen interface.
+    Forward,
+    /// Refused by a routing element.
+    RouteDrop(DropReason),
+    /// Minted locally by the device.
+    Mint,
+}
+
+impl HopAction {
+    /// Short lower-case label for renderings (e.g. `"ingress"`,
+    /// `"drop(burst-loss)"`, `"nat(dnat)"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            HopAction::Ingress => "ingress",
+            HopAction::Egress => "egress",
+            HopAction::FaultDrop(FaultCause::Unattached) => "drop(unattached)",
+            HopAction::FaultDrop(FaultCause::LinkDown) => "drop(link-down)",
+            HopAction::FaultDrop(FaultCause::BurstLoss) => "drop(burst-loss)",
+            HopAction::FaultDrop(FaultCause::UniformLoss) => "drop(uniform-loss)",
+            HopAction::Duplicated => "duplicated",
+            HopAction::Delayed => "delayed",
+            HopAction::Nat(NatPhase::Dnat) => "nat(dnat)",
+            HopAction::Nat(NatPhase::Snat) => "nat(snat)",
+            HopAction::Nat(NatPhase::DnatSnat) => "nat(dnat+snat)",
+            HopAction::Nat(NatPhase::Reverse) => "nat(reverse)",
+            HopAction::Forward => "forward",
+            HopAction::RouteDrop(DropReason::BogonDestination) => "drop(bogon-destination)",
+            HopAction::RouteDrop(DropReason::TtlExpired) => "drop(ttl-expired)",
+            HopAction::RouteDrop(DropReason::NoRoute) => "drop(no-route)",
+            HopAction::Mint => "mint",
         }
     }
 }
@@ -308,6 +324,34 @@ mod tests {
         assert_eq!(NatPhase::classify(&before, &snat), Some(NatPhase::Snat));
         assert_eq!(NatPhase::classify(&before, &both), Some(NatPhase::DnatSnat));
         assert_eq!(NatPhase::classify(&before, &before), None);
+    }
+
+    #[test]
+    fn hop_action_labels_keep_the_rendered_vocabulary() {
+        // Every action a flow timeline can show, spelled as the golden
+        // timelines and JSON exports spell it.
+        let vocabulary = [
+            (HopAction::Egress, "egress"),
+            (HopAction::Ingress, "ingress"),
+            (HopAction::Forward, "forward"),
+            (HopAction::Mint, "mint"),
+            (HopAction::Duplicated, "duplicated"),
+            (HopAction::Delayed, "delayed"),
+            (HopAction::Nat(NatPhase::Dnat), "nat(dnat)"),
+            (HopAction::Nat(NatPhase::Snat), "nat(snat)"),
+            (HopAction::Nat(NatPhase::DnatSnat), "nat(dnat+snat)"),
+            (HopAction::Nat(NatPhase::Reverse), "nat(reverse)"),
+            (HopAction::FaultDrop(FaultCause::Unattached), "drop(unattached)"),
+            (HopAction::FaultDrop(FaultCause::LinkDown), "drop(link-down)"),
+            (HopAction::FaultDrop(FaultCause::BurstLoss), "drop(burst-loss)"),
+            (HopAction::FaultDrop(FaultCause::UniformLoss), "drop(uniform-loss)"),
+            (HopAction::RouteDrop(DropReason::BogonDestination), "drop(bogon-destination)"),
+            (HopAction::RouteDrop(DropReason::TtlExpired), "drop(ttl-expired)"),
+            (HopAction::RouteDrop(DropReason::NoRoute), "drop(no-route)"),
+        ];
+        for (action, label) in vocabulary {
+            assert_eq!(action.label(), label);
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ mod switch;
 mod time;
 
 pub use capture::{
-    CaptureBuffer, CaptureEvent, CaptureKind, CaptureSink, DropReason, FaultCause, NatPhase,
-    NullCapture,
+    CaptureBuffer, CaptureEvent, CaptureKind, CaptureSink, DropReason, FaultCause, HopAction,
+    NatPhase, NullCapture,
 };
 pub use host::{Delivery, Host};
 pub use nat::{DnatRule, FlowTuple, Masquerade, NatEngine, NatVerdict, Proto};

@@ -358,12 +358,12 @@ pub struct TraceEntry {
 ///
 /// A fleet campaign builds one short-lived simulator per probe; the
 /// containers behind it (device table, link table, port table, event
-/// queue, trace buffer, action scratch) would otherwise be allocated and
-/// grown from zero every time. A worker keeps one `SimScratch`, passes it
-/// to [`Simulator::with_scratch`], and recovers it with
-/// [`Simulator::into_scratch`] when the measurement is done — the contents
-/// are always cleared, only the capacity survives, so a recycled simulator
-/// behaves bit-for-bit like a fresh one.
+/// queue, trace buffer, action scratch, capture events) would otherwise
+/// be allocated and grown from zero every time. A worker keeps one
+/// `SimScratch`, passes it to [`Simulator::with_scratch`], and recovers
+/// it with [`Simulator::into_scratch`] when the measurement is done — the
+/// contents are always cleared, only the capacity survives, so a recycled
+/// simulator behaves bit-for-bit like a fresh one.
 #[derive(Default)]
 pub struct SimScratch {
     devices: Vec<Box<dyn Device>>,
@@ -372,6 +372,7 @@ pub struct SimScratch {
     queue: Vec<Reverse<Event>>,
     trace: Vec<TraceEntry>,
     actions: Vec<Action>,
+    capture: Vec<CaptureEvent>,
     payloads: PayloadPool,
 }
 
@@ -389,6 +390,9 @@ pub struct Simulator {
     trace: Vec<TraceEntry>,
     capture_on: bool,
     capture: Box<dyn CaptureSink>,
+    /// Recycled event storage, handed to the next [`CaptureBuffer`]
+    /// installed by [`Simulator::record_capture`].
+    capture_spare: Vec<CaptureEvent>,
     events_processed: u64,
     packets_dropped: u64,
     packets_duplicated: u64,
@@ -417,6 +421,7 @@ impl Simulator {
             mut queue,
             mut trace,
             mut actions,
+            mut capture,
             payloads,
         } = scratch;
         devices.clear();
@@ -425,6 +430,7 @@ impl Simulator {
         queue.clear();
         trace.clear();
         actions.clear();
+        capture.clear();
         Simulator {
             devices,
             links,
@@ -440,6 +446,7 @@ impl Simulator {
             // Box<NullCapture> is a zero-sized allocation-free box, so the
             // default recorder costs nothing even at construction.
             capture: Box::new(NullCapture),
+            capture_spare: capture,
             events_processed: 0,
             packets_dropped: 0,
             packets_duplicated: 0,
@@ -463,6 +470,8 @@ impl Simulator {
             queue,
             mut trace,
             action_scratch: mut actions,
+            mut capture,
+            capture_spare,
             payloads,
             ..
         } = self;
@@ -473,7 +482,12 @@ impl Simulator {
         actions.clear();
         let mut queue = queue.into_vec();
         queue.clear();
-        SimScratch { devices, links, ports, queue, trace, actions, payloads }
+        let mut capture = match capture.as_any_mut().downcast_mut::<CaptureBuffer>() {
+            Some(buffer) => std::mem::take(&mut buffer.events),
+            None => capture_spare,
+        };
+        capture.clear();
+        SimScratch { devices, links, ports, queue, trace, actions, capture, payloads }
     }
 
     /// Adds a device, returning its id.
@@ -593,9 +607,11 @@ impl Simulator {
         self.capture = sink;
     }
 
-    /// Convenience: installs an in-memory [`CaptureBuffer`] recorder.
+    /// Convenience: installs an in-memory [`CaptureBuffer`] recorder,
+    /// reusing the event storage recycled through [`SimScratch`].
     pub fn record_capture(&mut self) {
-        self.set_capture(Box::<CaptureBuffer>::default());
+        let events = std::mem::take(&mut self.capture_spare);
+        self.set_capture(Box::new(CaptureBuffer { events }));
     }
 
     /// Whether a capture sink is currently recording.
@@ -613,14 +629,12 @@ impl Simulator {
             .unwrap_or(&[])
     }
 
-    /// Drains and returns the recorded events, when the installed sink is
-    /// a [`CaptureBuffer`] (empty vector otherwise). Recording continues.
-    pub fn take_capture_events(&mut self) -> Vec<CaptureEvent> {
-        self.capture
-            .as_any_mut()
-            .downcast_mut::<CaptureBuffer>()
-            .map(|b| std::mem::take(&mut b.events))
-            .unwrap_or_default()
+    /// Empties the [`CaptureBuffer`], keeping its capacity. Recording
+    /// continues.
+    pub fn clear_capture_events(&mut self) {
+        if let Some(buffer) = self.capture.as_any_mut().downcast_mut::<CaptureBuffer>() {
+            buffer.events.clear();
+        }
     }
 
     /// Human-readable name of a device, if the node exists.
@@ -1294,9 +1308,10 @@ mod tests {
         assert_eq!(events[1].node, b);
         // Injected at now = 2ms (after the first drain), delivered at 4ms.
         assert_eq!(events[1].at, SimTime::from_nanos(4_000_000));
-        // Draining empties the buffer but keeps recording.
-        assert_eq!(sim.take_capture_events().len(), 2);
+        // Clearing empties the buffer but keeps recording.
+        sim.clear_capture_events();
         assert!(sim.capture_events().is_empty());
+        assert!(sim.capture_enabled());
     }
 
     #[test]
@@ -1382,6 +1397,31 @@ mod tests {
         let (third_times, third_stats, _) = run(scratch);
         assert_eq!(fresh_times, third_times);
         assert_eq!(fresh_stats, third_stats);
+    }
+
+    #[test]
+    fn recycled_capture_buffer_starts_empty() {
+        let mut sim = Simulator::new(3);
+        let a = sim.add_device(Probe::new("a", false));
+        let b = sim.add_device(Probe::new("b", false));
+        sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1));
+        sim.record_capture();
+        sim.inject(a, IfaceId(0), pkt());
+        sim.run_to_quiescence();
+        assert_eq!(sim.capture_events().len(), 2);
+
+        // The events go back into the scratch with the other containers;
+        // the next simulator's recorder reuses the storage, not the hops.
+        let mut sim = Simulator::with_scratch(3, sim.into_scratch());
+        assert!(!sim.capture_enabled());
+        sim.record_capture();
+        assert!(sim.capture_events().is_empty());
+        let a = sim.add_device(Probe::new("a", false));
+        let b = sim.add_device(Probe::new("b", false));
+        sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1));
+        sim.inject(a, IfaceId(0), pkt());
+        sim.run_to_quiescence();
+        assert_eq!(sim.capture_events().len(), 2);
     }
 
     #[test]

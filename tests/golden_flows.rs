@@ -15,6 +15,7 @@
 
 use interception::{HomeScenario, QueryFlow, SimTransport};
 use locator::HijackLocator;
+use netsim::{HopAction, NatPhase};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -105,9 +106,9 @@ fn worked_example_timelines_tell_the_right_story() {
     let clean = capture("1053", worked_example("1053"));
     assert!(!clean.intercepted);
     assert!(!clean.flows.is_empty());
-    assert!(clean.flows.iter().all(|f| f.hops.iter().all(|h| h.action != "mint")));
+    assert!(clean.flows.iter().all(|f| f.hops.iter().all(|h| h.action != HopAction::Mint)));
     assert!(
-        clean.flows.iter().any(|f| f.hops.iter().any(|h| h.node == "internet-core")),
+        clean.flows.iter().any(|f| f.hops.iter().any(|h| &*h.node == "internet-core")),
         "clean queries must actually cross the core"
     );
 
@@ -116,8 +117,9 @@ fn worked_example_timelines_tell_the_right_story() {
     let cpe = capture("21823", worked_example("21823"));
     assert!(cpe.intercepted);
     assert_eq!(cpe.location.as_deref(), Some("CPE"));
-    assert!(cpe.flows.iter().any(|f| f.hops.iter().any(|h| h.action == "mint")));
-    assert!(cpe.flows.iter().any(|f| f.hops.iter().any(|h| h.action == "nat(dnat)")));
+    assert!(cpe.flows.iter().any(|f| f.hops.iter().any(|h| h.action == HopAction::Mint)));
+    let dnat = HopAction::Nat(NatPhase::Dnat);
+    assert!(cpe.flows.iter().any(|f| f.hops.iter().any(|h| h.action == dnat)));
 
     // ISP middlebox: the probe's queries are answered, but the mint
     // happens beyond the home — no CPE-minted reply, yet the verdict is

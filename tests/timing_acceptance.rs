@@ -78,8 +78,8 @@ fn virtual_clock_histograms_are_thread_and_batch_invariant() {
     }
 }
 
-fn golden_timings_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/timings_200.json")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
 }
 
 /// Zeroes every wall-clock histogram in a `CampaignTimings` snapshot.
@@ -103,21 +103,13 @@ fn normalize_wall(mut timings: CampaignTimings) -> CampaignTimings {
     timings
 }
 
-/// The checked-in expectation must equal what
-/// `repro --size 200 --timings-json <path>` writes, after normalizing
-/// the wall-clock section: same default seed, same fleet, same bucket
-/// layout, same virtual-clock sample counts and percentiles.
-#[test]
-fn timings_for_a_200_probe_campaign_match_the_checked_in_expectation() {
-    let fleet = generate(FleetConfig { size: 200, ..FleetConfig::default() });
-    let timing = TimingRegistry::new();
-    run_campaign_timed(&fleet, CampaignOptions::new(4), None, None, Some(&timing));
-
+/// Compares a snapshot, wall clock zeroed, with `tests/golden/<file>`.
+fn check_timings_golden(file: &str, timing: &TimingRegistry) {
     let fresh = normalize_wall(timing.snapshot());
     let mut rendered = serde_json::to_string_pretty(&fresh).expect("snapshot serializes");
     rendered.push('\n');
 
-    let path = golden_timings_path();
+    let path = golden_path(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &rendered).unwrap();
@@ -131,8 +123,32 @@ fn timings_for_a_200_probe_campaign_match_the_checked_in_expectation() {
     assert_eq!(
         rendered,
         expected,
-        "200-probe campaign timings diverged from {}\nif intentional, regenerate with \
+        "timings diverged from {}\nif intentional, regenerate with \
          UPDATE_GOLDEN=1 cargo test --test timing_acceptance and review the diff",
         path.display()
     );
+}
+
+/// The checked-in expectation must equal what
+/// `repro --size 200 --timings-json <path>` writes, after normalizing
+/// the wall-clock section: same default seed, same fleet, same bucket
+/// layout, same virtual-clock sample counts and percentiles.
+#[test]
+fn timings_for_a_200_probe_campaign_match_the_checked_in_expectation() {
+    let fleet = generate(FleetConfig { size: 200, ..FleetConfig::default() });
+    let timing = TimingRegistry::new();
+    run_campaign_timed(&fleet, CampaignOptions::new(4), None, None, Some(&timing));
+    check_timings_golden("timings_200.json", &timing);
+}
+
+/// The same for `repro --classify --size 200 --seed 7 --threads 4
+/// --timings-json <path>`: its per-class histograms are built from the
+/// flight recorder's flow RTTs, so this pins flow reconstruction's
+/// timestamps as well as the scan's phase RTTs.
+#[test]
+fn timings_for_a_200_device_classification_match_the_checked_in_expectation() {
+    let fleet = classification_fleet(200, 7);
+    let timing = TimingRegistry::new();
+    run_classification_timed(&fleet, CampaignOptions::new(4), Some(&timing));
+    check_timings_golden("classify_timings_200.json", &timing);
 }
