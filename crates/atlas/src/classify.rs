@@ -38,7 +38,7 @@ use crate::campaign::{
 };
 use crate::fleet::{Fleet, ProbeSpec};
 use crate::timing::TimingRegistry;
-use dns_wire::{debug_queries, Name, Question, RData, RType};
+use dns_wire::{debug_queries, Name, Question, RType};
 use interception::{
     flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, QueryFlow, SimTransport, Vantage,
     WorldTemplate,
@@ -260,7 +260,7 @@ pub fn classify_with_transport(
                     (OpenDnsClass::TransparentForwarder, Some(from))
                 }
                 QueryOutcome::Response(m)
-                    if m.answers.iter().any(|r| r.rdata == RData::A(cpe_v4)) =>
+                    if m.view().answers().any(|r| r.a_addr() == Some(cpe_v4)) =>
                 {
                     (OpenDnsClass::OpenRecursive, None)
                 }

@@ -9,7 +9,7 @@
 //! archives can be re-analyzed with *improved* analysis code later, the
 //! workflow the paper's artifact evaluation would want.
 
-use dns_wire::{Message, Question};
+use dns_wire::{MessageView, Question};
 use locator::{QueryOptions, QueryOutcome, QueryTransport};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
@@ -155,10 +155,10 @@ impl QueryTransport for ReplayTransport {
         }
         self.cursor += 1;
         match &record.response {
-            Some(bytes) => match Message::parse(bytes) {
-                Ok(m) => match record.wrong_source {
-                    Some(from) => QueryOutcome::WrongSource { message: m, from },
-                    None => QueryOutcome::Response(m),
+            Some(bytes) => match MessageView::parse(bytes) {
+                Ok(view) => match record.wrong_source {
+                    Some(from) => QueryOutcome::WrongSource { message: view.to_wire(), from },
+                    None => QueryOutcome::Response(view.to_wire()),
                 },
                 Err(_) => QueryOutcome::Timeout,
             },

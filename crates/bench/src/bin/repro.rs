@@ -55,21 +55,16 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// Heap allocations of one warm answered location query, counted at the
 /// allocator: Cloudflare's `id.server` over IPv4 through the clean home,
 /// from the cached encode through every hop and the site's reply to the
-/// response the transport accepts and materializes. The responder side is
-/// allocation-free (`crates/bench/tests/zero_alloc.rs` pins it); what
-/// remains is the stub's owned copy of the accepted response.
+/// response the transport accepts in wire form. Both sides are
+/// allocation-free; `crates/bench/tests/zero_alloc.rs` pins this same
+/// routine at 0 for every resolver and family.
 fn warm_answered_query_allocs() -> u64 {
     use std::sync::atomic::Ordering;
-    let mut transport = SimTransport::new(HomeScenario::clean().build());
     let cloudflare = &default_resolvers()[0];
-    let question = cloudflare.location_query();
-    let opts = QueryOptions::default();
-    for txid in 0..4 {
-        transport.query(cloudflare.v4[0], &question, 0x7000 + txid, opts);
-    }
-    let before = ALLOC_COUNT.load(Ordering::Relaxed);
-    let outcome = transport.query(cloudflare.v4[0], &question, 0x7100, opts);
-    let allocs = ALLOC_COUNT.load(Ordering::Relaxed) - before;
+    let (allocs, outcome) =
+        hijack_bench::warm_answered_query_allocs(cloudflare, cloudflare.v4[0], || {
+            ALLOC_COUNT.load(Ordering::Relaxed)
+        });
     assert!(outcome.response().is_some(), "the clean home answers Cloudflare's location query");
     allocs
 }

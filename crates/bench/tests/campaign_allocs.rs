@@ -68,16 +68,18 @@ fn allocations_per_probe(size: usize) -> (f64, f64) {
     ((count1 - count0) as f64 / probes, (bytes1 - bytes0) as f64 / probes)
 }
 
-/// Absolute per-probe allocation budgets at the 1200-probe point, set
-/// after the zero-copy/interning/pooling work (~393 allocs, ~42 KB per
-/// probe then) with ~15% headroom. Regressing past these means a
-/// per-query or per-build allocation came back (e.g. re-encoding
-/// location queries, rebuilding the resolver table, per-packet payload
-/// Vecs); the flatness *ratio* alone would not catch a uniform creep.
+/// Absolute per-probe allocation budgets at the 1200-probe point. The
+/// count budget is ~1.2x the ~99 allocs per probe measured once replies
+/// stayed in wire form (it was ~215 while each accepted reply was copied
+/// into an owned message; putting one such copy back per accepted reply
+/// measures ~173 and fails the gate). Regressing past these means a per-query or per-build
+/// allocation came back (e.g. re-encoding location queries, rebuilding
+/// the resolver table, per-packet payload Vecs, owned reply copies); the
+/// flatness *ratio* alone would not catch a uniform creep.
 /// The steady-state *wire* path itself is pinned by `tests/zero_alloc.rs`;
 /// this budget covers the whole probe — world build, verdicts,
 /// aggregation — where some setup allocation is real.
-const MAX_ALLOCS_PER_PROBE: f64 = 450.0;
+const MAX_ALLOCS_PER_PROBE: f64 = 120.0;
 const MAX_BYTES_PER_PROBE: f64 = 50_000.0;
 
 /// Per-probe allocation cost must not grow with the fleet: borrowing the

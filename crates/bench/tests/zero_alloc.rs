@@ -6,11 +6,13 @@
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
 //! filter are all allocation-free. An *answered* location query must not
-//! allocate on the responder side either: each public resolver's site
-//! parses the query as a view, writes its reply in place and copies it
-//! into the payload pool. The same counter also pins the component pieces
-//! individually, so a regression report names the layer that started
-//! allocating rather than just "the path".
+//! allocate either, on either side: each public resolver's site parses the
+//! query as a view, writes its reply in place and copies it into the
+//! payload pool, and the stub accepts that reply in wire form, sharing the
+//! pooled payload instead of copying it into an owned message. The same
+//! counter also pins the component pieces individually, so a regression
+//! report names the layer that started allocating rather than just "the
+//! path".
 //!
 //! Everything runs inside one `#[test]` because the counter is a process
 //! global; parallel test threads would bleed into each other's deltas.
@@ -119,6 +121,23 @@ fn steady_state_probe_path_allocates_nothing() {
             allocs, 0,
             "{brand:?}: warm answered location query allocated {allocs} times on the responder side"
         );
+    }
+
+    // --- The whole answered location query, stub included: each of the
+    // four public resolvers over both families, through the clean home and
+    // `SimTransport::query`, with the reply accepted in wire form. This is
+    // the routine `repro --bench-json` reports as
+    // `steady_state_wire_path_allocs` (Cloudflare over IPv4).
+    for resolver in default_resolvers() {
+        for server in [resolver.v4[0], resolver.v6[0]] {
+            let (allocs, out) = hijack_bench::warm_answered_query_allocs(&resolver, server, || {
+                ALLOCATIONS.load(Ordering::Relaxed)
+            });
+            let label = format!("{:?} via {server}", resolver.key);
+            let reply = out.response().unwrap_or_else(|| panic!("{label} went unanswered"));
+            assert!(resolver.is_standard_location_response(reply), "{label}");
+            assert_eq!(allocs, 0, "{label}: warm answered location query allocated {allocs} times");
+        }
     }
 
     // --- Component: cached query encoding re-stamps the txid in place.

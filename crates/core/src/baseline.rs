@@ -14,12 +14,12 @@
 //!   proves interception but says nothing about *where*.
 
 use crate::detector::describe_response;
-use crate::resolvers::PublicResolver;
+use crate::resolvers::{txt_ip, PublicResolver};
 use crate::transport::{
     query_with_retry, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::debug_queries;
-use dns_wire::{Name, Question, RData, RType};
+use dns_wire::{Name, Question, RType, WireMessage};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -66,11 +66,8 @@ pub fn a_record_cpe_check<T: QueryTransport>(
     }
 }
 
-fn first_a(m: &dns_wire::Message) -> Option<std::net::Ipv4Addr> {
-    m.answers.iter().find_map(|r| match r.rdata {
-        RData::A(ip) => Some(ip),
-        _ => None,
-    })
+fn first_a(m: &WireMessage) -> Option<std::net::Ipv4Addr> {
+    m.view().answers().find_map(|r| r.a_addr())
 }
 
 /// Verdict of the hostname.bind root-manipulation check.
@@ -103,7 +100,7 @@ pub fn hostname_bind_root_check<T: QueryTransport>(
         if let QueryOutcome::Response(m) = query_with_retry(transport, root, &q, txids, opts).outcome {
             answered = true;
             let observed = describe_response(&m);
-            if m.header.rcode.is_error() || !is_expected(&observed) {
+            if m.header().rcode.is_error() || !is_expected(&observed) {
                 return RootCheckVerdict::Manipulated { observed };
             }
         }
@@ -155,10 +152,7 @@ pub fn own_authoritative_check<T: QueryTransport>(
     let q = Question::new(reflector_name.clone(), RType::Txt);
     match query_with_retry(transport, resolver.v4[0], &q, txids, opts).outcome {
         QueryOutcome::Response(m) => {
-            let Some(text) = m.answers.iter().find_map(|r| r.rdata.txt_string()) else {
-                return PrevalenceVerdict::Inconclusive;
-            };
-            let Ok(egress) = text.parse::<IpAddr>() else {
+            let Some(egress) = m.view().answers().find_map(|r| r.txt()).and_then(txt_ip) else {
                 return PrevalenceVerdict::Inconclusive;
             };
             if resolver.egress_contains(egress) {

@@ -25,7 +25,7 @@ use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::debug_queries;
-use dns_wire::{Message, Name, Question, RData, RType, Rcode};
+use dns_wire::{Name, Question, RType, Rcode, WireMessage};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -70,7 +70,7 @@ impl Default for LocatorConfig {
             cpe_public_v4: None,
             cpe_public_v6: None,
             bogon_v4: IpAddr::V4(std::net::Ipv4Addr::new(198, 51, 100, 53)),
-            bogon_v6: IpAddr::V6("100::53".parse().expect("static address")),
+            bogon_v6: IpAddr::V6(std::net::Ipv6Addr::new(0x100, 0, 0, 0, 0, 0, 0, 0x53)),
             probe_domain: default_probe_domain(),
             whoami_domain: debug_queries::whoami_akamai(),
             query_options: QueryOptions::default(),
@@ -472,13 +472,10 @@ impl HijackLocator {
             match sent.outcome {
                 QueryOutcome::Response(msg) => {
                     cited.push(sent.evidence);
-                    if msg.header.rcode.is_error() {
+                    let view = msg.view();
+                    if view.header().rcode.is_error() {
                         modified += 1;
-                    } else if msg
-                        .answers
-                        .iter()
-                        .any(|r| matches!(r.rdata, RData::A(_) | RData::Aaaa(_)))
-                    {
+                    } else if view.answers().any(|r| matches!(r.rtype, RType::A | RType::Aaaa)) {
                         transparent += 1;
                     } else {
                         modified += 1;
@@ -506,11 +503,12 @@ impl HijackLocator {
         let sent = self.send(transport, sink, Step::CpeCheck, addr, q);
         let answer = match sent.outcome {
             QueryOutcome::Response(msg) => {
-                if msg.header.rcode != Rcode::NoError {
-                    VersionBindAnswer::Error(msg.header.rcode.to_string())
+                let view = msg.view();
+                if view.header().rcode != Rcode::NoError {
+                    VersionBindAnswer::Error(view.header().rcode.to_string())
                 } else {
-                    match msg.answers.iter().find_map(|r| r.rdata.txt_string()) {
-                        Some(text) => VersionBindAnswer::Text(text),
+                    match view.answers().find_map(|r| r.txt()) {
+                        Some(text) => VersionBindAnswer::Text(text.to_string_lossy()),
                         None => VersionBindAnswer::Error("EMPTY".into()),
                     }
                 }
@@ -609,19 +607,21 @@ fn emit_verdict<T: QueryTransport, S: TraceSink>(
 }
 
 /// Summarizes a response the way the paper's tables do: the TXT/A payload
-/// when present, otherwise the rcode.
-pub fn describe_response(msg: &Message) -> String {
-    if msg.header.rcode != Rcode::NoError {
-        return msg.header.rcode.to_string();
+/// when present, otherwise the rcode. Reads the reply in place; the
+/// returned text is the only allocation.
+pub fn describe_response(msg: &WireMessage) -> String {
+    let view = msg.view();
+    if view.header().rcode != Rcode::NoError {
+        return view.header().rcode.to_string();
     }
-    for r in &msg.answers {
-        if let Some(t) = r.rdata.txt_string() {
-            return t;
+    for r in view.answers() {
+        if let Some(t) = r.txt() {
+            return t.to_string_lossy();
         }
-        if let RData::A(ip) = r.rdata {
+        if let Some(ip) = r.a_addr() {
             return ip.to_string();
         }
-        if let RData::Aaaa(ip) = r.rdata {
+        if let Some(ip) = r.aaaa_addr() {
             return ip.to_string();
         }
     }
@@ -1010,13 +1010,15 @@ mod tests {
 
     #[test]
     fn describe_response_prefers_payload() {
+        use dns_wire::Message;
+        let describe = |m: &Message| describe_response(&WireMessage::from_message(m).unwrap());
         let q = Message::query(1, Question::chaos_txt("id.server".parse().unwrap()));
         let resp = Message::response_to(&q, Rcode::NoError)
             .with_answer(dns_wire::Record::chaos_txt("id.server".parse().unwrap(), "SFO"));
-        assert_eq!(describe_response(&resp), "SFO");
+        assert_eq!(describe(&resp), "SFO");
         let err = Message::response_to(&q, Rcode::NotImp);
-        assert_eq!(describe_response(&err), "NOTIMP");
+        assert_eq!(describe(&err), "NOTIMP");
         let empty = Message::response_to(&q, Rcode::NoError);
-        assert_eq!(describe_response(&empty), "NOERROR(empty)");
+        assert_eq!(describe(&empty), "NOERROR(empty)");
     }
 }

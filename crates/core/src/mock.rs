@@ -14,7 +14,7 @@
 use crate::resolvers::default_resolvers;
 use crate::transport::{QueryOptions, QueryOutcome, QueryTransport};
 use dns_wire::debug_queries;
-use dns_wire::{Message, Name, Question, RClass, RData, Rcode, Record};
+use dns_wire::{Message, Name, Question, RClass, RData, Rcode, Record, WireMessage};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// How a matched rule responds.
@@ -269,6 +269,13 @@ impl MockTransport {
         );
     }
 
+    /// The scripted reply in wire form, as a real transport would hand it
+    /// over: the message is built and encoded once, then read in place.
+    fn wire_response(q: &Question, txid: u16, respond: &Respond) -> Option<WireMessage> {
+        let message = Self::build_response(q, txid, respond)?;
+        Some(WireMessage::from_message(&message).expect("scripted replies encode"))
+    }
+
     fn build_response(q: &Question, txid: u16, respond: &Respond) -> Option<Message> {
         let query = Message::query(txid, q.clone());
         match respond {
@@ -327,12 +334,12 @@ impl QueryTransport for MockTransport {
                 }
                 if let Respond::WrongSource(from, _) = &rule.respond {
                     let from = *from;
-                    return match Self::build_response(question, txid, &rule.respond) {
+                    return match Self::wire_response(question, txid, &rule.respond) {
                         Some(message) => QueryOutcome::WrongSource { message, from },
                         None => QueryOutcome::Timeout,
                     };
                 }
-                return match Self::build_response(question, txid, &rule.respond) {
+                return match Self::wire_response(question, txid, &rule.respond) {
                     Some(msg) => QueryOutcome::Response(msg),
                     None => QueryOutcome::Timeout,
                 };
@@ -349,6 +356,10 @@ mod tests {
 
     fn q(t: &mut MockTransport, server: IpAddr, question: Question) -> QueryOutcome {
         t.query(server, &question, 0x1234, QueryOptions::default())
+    }
+
+    fn first_txt(msg: &WireMessage) -> Option<String> {
+        msg.view().answers().find_map(|r| r.txt()).map(|t| t.to_string_lossy())
     }
 
     #[test]
@@ -372,7 +383,7 @@ mod tests {
             let out = q(&mut t, r.v4[0], r.location_query());
             let msg = out.response().expect("response expected");
             assert!(r.is_standard_location_response(msg), "{:?}", r.key);
-            assert_eq!(msg.header.id, 0x1234, "response echoes the query txid");
+            assert_eq!(msg.header().id, 0x1234, "response echoes the query txid");
         }
     }
 
@@ -385,9 +396,9 @@ mod tests {
             let out = q(&mut t, r.v4[0], vb.clone());
             let msg = out.response().unwrap();
             if r.key == ResolverKey::Quad9 {
-                assert_eq!(msg.answers[0].rdata.txt_string().unwrap(), "Q9-P-6.1");
+                assert_eq!(first_txt(msg).as_deref(), Some("Q9-P-6.1"));
             } else {
-                assert_eq!(msg.header.rcode, Rcode::NotImp);
+                assert_eq!(msg.header().rcode, Rcode::NotImp);
             }
         }
     }
@@ -415,7 +426,7 @@ mod tests {
         assert!(q(&mut t, server, question.clone()).is_timeout());
         assert!(q(&mut t, server, question.clone()).is_timeout());
         let out = q(&mut t, server, question);
-        assert_eq!(out.response().unwrap().answers[0].rdata.txt_string().as_deref(), Some("IAD"));
+        assert_eq!(first_txt(out.response().unwrap()).as_deref(), Some("IAD"));
     }
 
     #[test]
@@ -435,7 +446,7 @@ mod tests {
         match out {
             QueryOutcome::WrongSource { message, from } => {
                 assert_eq!(from, upstream);
-                assert_eq!(message.header.id, 0x1234, "the txid itself is right");
+                assert_eq!(message.header().id, 0x1234, "the txid itself is right");
             }
             other => panic!("expected WrongSource, got {other:?}"),
         }
@@ -448,7 +459,7 @@ mod tests {
         t.push_rule(None, None, None, Respond::WrongTxid(Box::new(Respond::Txt("IAD".into()))));
         let out = q(&mut t, server, Question::chaos_txt("id.server".parse().unwrap()));
         let msg = out.response().unwrap();
-        assert_ne!(msg.header.id, 0x1234);
-        assert_eq!(msg.header.id, 0x1234 ^ 0x5A5A);
+        assert_ne!(msg.header().id, 0x1234);
+        assert_eq!(msg.header().id, 0x1234 ^ 0x5A5A);
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::prefix::IpPrefix;
 use dns_wire::debug_queries;
-use dns_wire::{Message, Question, Rcode};
+use dns_wire::{Question, Rcode, TxtRef, WireMessage};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
@@ -96,39 +96,42 @@ impl PublicResolver {
     /// Decides whether `response` is the *standard* response a genuine
     /// query to this resolver produces (§3.1). A non-standard response —
     /// wrong format, error status, empty answer — is evidence of
-    /// interception. The caller handles timeouts separately.
-    pub fn is_standard_location_response(&self, response: &Message) -> bool {
-        if response.header.rcode != Rcode::NoError {
+    /// interception. The caller handles timeouts separately. The TXT text
+    /// is compared in place; nothing is allocated.
+    pub fn is_standard_location_response(&self, response: &WireMessage) -> bool {
+        let view = response.view();
+        if view.header().rcode != Rcode::NoError {
             return false;
         }
-        let Some(text) = response
-            .answers
-            .iter()
-            .find_map(|r| r.rdata.txt_string())
-        else {
+        let Some(text) = view.answers().find_map(|r| r.txt()) else {
             return false;
         };
         match self.key {
-            ResolverKey::Cloudflare => is_iata_code(&text),
-            ResolverKey::Google => text
-                .parse::<IpAddr>()
-                .map(|ip| self.egress_contains(ip))
-                .unwrap_or(false),
+            ResolverKey::Cloudflare => is_iata_code(text),
+            ResolverKey::Google => txt_ip(text).is_some_and(|ip| self.egress_contains(ip)),
             ResolverKey::Quad9 => {
                 // e.g. "res100.iad.rrdns.pch.net"
-                text.ends_with(".pch.net") && text.starts_with("res")
+                text.ends_with(b".pch.net") && text.starts_with(b"res")
             }
             ResolverKey::OpenDns => {
                 // e.g. "server m84.iad"
-                text.starts_with("server m")
+                text.starts_with(b"server m")
             }
         }
     }
 }
 
+/// The TXT text as an IP address, when it is one — what parsing the
+/// lossily decoded text would give, without decoding it: invalid UTF-8
+/// never spells an address, and no address is longer than 45 bytes.
+pub(crate) fn txt_ip(text: TxtRef<'_>) -> Option<IpAddr> {
+    let mut buf = [0u8; 64];
+    std::str::from_utf8(text.copy_into(&mut buf)?).ok()?.parse().ok()
+}
+
 /// True for a three-letter upper-case IATA airport code like "IAD" or "SFO".
-fn is_iata_code(s: &str) -> bool {
-    s.len() == 3 && s.bytes().all(|b| b.is_ascii_uppercase())
+fn is_iata_code(text: TxtRef<'_>) -> bool {
+    text.len() == 3 && text.bytes().all(|b| b.is_ascii_uppercase())
 }
 
 /// The four studied resolvers with their real service addresses and
@@ -191,17 +194,21 @@ pub fn shared_default_resolvers() -> Arc<[PublicResolver]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Name, Record};
+    use dns_wire::{Message, Name, Record};
 
     fn resolver(key: ResolverKey) -> PublicResolver {
         default_resolvers().into_iter().find(|r| r.key == key).unwrap()
     }
 
-    fn txt_response(q: &Question, text: &str) -> Message {
+    fn txt_response(q: &Question, text: &str) -> WireMessage {
         let query = Message::query(1, q.clone());
         let mut rec = Record::chaos_txt(q.qname.clone(), text);
         rec.class = q.qclass;
-        Message::response_to(&query, Rcode::NoError).with_answer(rec)
+        wire(&Message::response_to(&query, Rcode::NoError).with_answer(rec))
+    }
+
+    fn wire(message: &Message) -> WireMessage {
+        WireMessage::from_message(message).unwrap()
     }
 
     #[test]
@@ -247,7 +254,7 @@ mod tests {
             let r = resolver(key);
             let q = r.location_query();
             let query = Message::query(1, q);
-            let resp = Message::response_to(&query, Rcode::NotImp);
+            let resp = wire(&Message::response_to(&query, Rcode::NotImp));
             assert!(!r.is_standard_location_response(&resp), "{key:?}");
         }
     }
@@ -257,7 +264,7 @@ mod tests {
         for key in ResolverKey::ALL {
             let r = resolver(key);
             let query = Message::query(1, r.location_query());
-            let resp = Message::response_to(&query, Rcode::NoError);
+            let resp = wire(&Message::response_to(&query, Rcode::NoError));
             assert!(!r.is_standard_location_response(&resp), "{key:?}");
         }
     }

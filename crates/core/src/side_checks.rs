@@ -19,7 +19,7 @@ use crate::trace::{NullSink, Step, TraceEvent, TraceSink};
 use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
-use dns_wire::{Name, Question, RData, RType, Rcode};
+use dns_wire::{Name, Question, RType, Rcode};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -97,8 +97,8 @@ pub fn ad_downgrade_check_traced<T: QueryTransport, S: TraceSink>(
 ) -> AdVerdict {
     let q = Question::new(signed_name.clone(), RType::A);
     match send_check(transport, sink, server, &q, txids, opts, seq) {
-        QueryOutcome::Response(m) if m.header.rcode == Rcode::NoError => {
-            if m.header.ad {
+        QueryOutcome::Response(m) if m.header().rcode == Rcode::NoError => {
+            if m.header().ad {
                 AdVerdict::Authenticated
             } else {
                 AdVerdict::Downgraded
@@ -155,13 +155,11 @@ pub fn nxdomain_wildcard_check_traced<T: QueryTransport, S: TraceSink>(
 ) -> WildcardVerdict {
     let q = Question::new(nonexistent_name.clone(), RType::A);
     match send_check(transport, sink, server, &q, txids, opts, seq) {
-        QueryOutcome::Response(m) => match m.header.rcode {
+        QueryOutcome::Response(m) => match m.header().rcode {
             Rcode::NxDomain => WildcardVerdict::Honest,
             Rcode::NoError => {
-                let substituted = m.answers.iter().find_map(|r| match r.rdata {
-                    RData::A(ip) => Some(IpAddr::V4(ip)),
-                    RData::Aaaa(ip) => Some(IpAddr::V6(ip)),
-                    _ => None,
+                let substituted = m.view().answers().find_map(|r| {
+                    r.a_addr().map(IpAddr::V4).or_else(|| r.aaaa_addr().map(IpAddr::V6))
                 });
                 match substituted {
                     Some(substituted) => WildcardVerdict::Wildcarded { substituted },

@@ -16,7 +16,7 @@
 //! one.
 
 use crate::trace::{Step, TraceEvent, TraceSink};
-use dns_wire::{Message, Question};
+use dns_wire::{Question, WireMessage};
 use std::net::IpAddr;
 
 /// Wait budget and packet parameters for a single query.
@@ -52,8 +52,9 @@ impl Default for QueryOptions {
 pub enum QueryOutcome {
     /// A response arrived whose source address matched the queried server
     /// (the OS-level connected-UDP check every stub resolver performs —
-    /// which is why interceptors must spoof, §2).
-    Response(Message),
+    /// which is why interceptors must spoof, §2). The reply is carried as
+    /// received: its wire bytes and the offsets of its one parse.
+    Response(WireMessage),
     /// No matching response within the timeout. The paper conservatively
     /// treats timeouts as *not* interception (§3.1).
     Timeout,
@@ -64,8 +65,8 @@ pub enum QueryOutcome {
     /// upstream while preserving the client's source address makes the
     /// *upstream* resolver answer the client directly.
     WrongSource {
-        /// The response message (txid and QR already verified).
-        message: Message,
+        /// The response as received (txid and QR already verified).
+        message: WireMessage,
         /// The address the reply actually came from.
         from: IpAddr,
     },
@@ -75,7 +76,7 @@ impl QueryOutcome {
     /// The response, if one arrived *from the queried server*. A
     /// wrong-source reply is never an answer: the pipeline treats it like
     /// a timeout for verdict purposes and flags it separately.
-    pub fn response(&self) -> Option<&Message> {
+    pub fn response(&self) -> Option<&WireMessage> {
         match self {
             QueryOutcome::Response(m) => Some(m),
             QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => None,
@@ -260,7 +261,7 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
     // properly answered it becomes the final outcome (it is stronger
     // evidence than a bare timeout), and if one is, it is still reported
     // through [`RetriedQuery::wrong_source`].
-    let mut mismatch: Option<(Message, IpAddr)> = None;
+    let mut mismatch: Option<(WireMessage, IpAddr)> = None;
     for attempt in 0..attempts {
         if attempt > 0 && opts.retry_backoff_ms > 0 {
             transport.backoff(opts.retry_backoff_ms);
@@ -276,7 +277,7 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
             });
         }
         match transport.query(server, question, txid, opts) {
-            QueryOutcome::Response(msg) if msg.header.id == txid => {
+            QueryOutcome::Response(msg) if msg.header().id == txid => {
                 if sink.enabled() {
                     sink.record(TraceEvent::ResponseAccepted {
                         seq: ctx.seq,
@@ -300,7 +301,7 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
                         seq: ctx.seq,
                         attempt: attempt + 1,
                         expected_txid: txid,
-                        got_txid: msg.header.id,
+                        got_txid: msg.header().id,
                         at_us: transport.now_us(),
                     });
                 }
@@ -352,7 +353,11 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::Rcode;
+    use dns_wire::{Message, Rcode};
+
+    fn wire(message: &Message) -> WireMessage {
+        WireMessage::from_message(message).unwrap()
+    }
 
     /// Scripted transport: pops one canned reaction per query call.
     struct Script {
@@ -390,16 +395,16 @@ mod tests {
                 Reaction::Timeout => QueryOutcome::Timeout,
                 Reaction::Answer => {
                     let q = Message::query(txid, question.clone());
-                    QueryOutcome::Response(Message::response_to(&q, Rcode::NoError))
+                    QueryOutcome::Response(wire(&Message::response_to(&q, Rcode::NoError)))
                 }
                 Reaction::WrongTxid => {
                     let q = Message::query(txid.wrapping_add(1), question.clone());
-                    QueryOutcome::Response(Message::response_to(&q, Rcode::NoError))
+                    QueryOutcome::Response(wire(&Message::response_to(&q, Rcode::NoError)))
                 }
                 Reaction::WrongSource => {
                     let q = Message::query(txid, question.clone());
                     QueryOutcome::WrongSource {
-                        message: Message::response_to(&q, Rcode::NoError),
+                        message: wire(&Message::response_to(&q, Rcode::NoError)),
                         from: "198.51.100.99".parse().unwrap(),
                     }
                 }
@@ -459,7 +464,7 @@ mod tests {
         let r = ask(&mut t, opts(2, 0));
         assert_eq!(r.attempts_used, 2);
         let msg = r.outcome.response().expect("second attempt answered");
-        assert_eq!(msg.header.id, 0x4001);
+        assert_eq!(msg.header().id, 0x4001);
     }
 
     #[test]
@@ -545,7 +550,7 @@ mod tests {
         let r = ask(&mut t, opts(2, 0));
         assert_eq!(r.attempts_used, 2);
         let msg = r.outcome.response().expect("second attempt answered");
-        assert_eq!(msg.header.id, 0x4001);
+        assert_eq!(msg.header().id, 0x4001);
         // The mismatch evidence survives alongside the accepted answer.
         assert_eq!(r.wrong_source, Some("198.51.100.99".parse().unwrap()));
     }

@@ -44,7 +44,9 @@ mod wire;
 pub use error::{BuildError, ParseError};
 pub use message::{EncodeScratch, Header, Message, QueryEncoder, Question, Record};
 pub use name::{LabelIter, Name, NameCompressor, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
-pub use view::{MessageView, NameRef, QuestionIter, QuestionView, RecordIter, RecordView};
+pub use view::{
+    MessageView, NameRef, QuestionIter, QuestionView, RecordIter, RecordView, TxtRef, WireMessage,
+};
 pub use rdata::{RData, Soa};
 pub use reply::{AnswerData, ReplyWriter};
 pub use types::{Opcode, RClass, RType, Rcode};

@@ -8,16 +8,18 @@
 //!
 //! The steady-state verdict path uses this to answer "is this datagram the
 //! response I am waiting for?" (transaction ID, QR flag, question match)
-//! without a single heap allocation; only messages that survive that
-//! filter — the ones whose records are archived or folded into verdicts —
-//! are materialized via [`MessageView::to_message`].
+//! without a single heap allocation. A reply that survives that filter is
+//! kept as a [`WireMessage`]: the received payload, shared by refcount,
+//! plus the offsets the parse already computed, so verdicts read it
+//! through the same borrowed view instead of a second, owned parse.
 
-use crate::error::ParseError;
+use crate::error::{BuildError, ParseError};
 use crate::message::{Header, Message, Question, Record};
 use crate::name::{decompress, walk_name, Name, WireName, MAX_NAME_LEN};
 use crate::rdata::RData;
 use crate::types::{RClass, RType};
 use crate::wire::Reader;
+use bytes::Bytes;
 use core::fmt;
 
 /// A borrowed, validated view of a DNS message.
@@ -112,10 +114,23 @@ impl<'a> MessageView<'a> {
         RecordIter { r, remaining: self.counts[section] }
     }
 
+    /// Copies the viewed bytes out into a [`WireMessage`] that keeps this
+    /// parse — for receive buffers that are about to be reused. One
+    /// allocation; no second parse.
+    pub fn to_wire(&self) -> WireMessage {
+        WireMessage {
+            bytes: Bytes::copy_from_slice(self.buf),
+            header: self.header,
+            counts: self.counts,
+            section_off: self.section_off,
+        }
+    }
+
     /// Materializes the full owned [`Message`].
     ///
     /// The view's parse applied exactly the owned parser's rules, so this
-    /// cannot fail.
+    /// cannot fail. The probe pipeline never needs it: received replies
+    /// stay in wire form ([`WireMessage`]).
     pub fn to_message(&self) -> Message {
         Message::parse(self.buf).expect("MessageView::parse validated this buffer")
     }
@@ -126,6 +141,99 @@ impl fmt::Debug for MessageView<'_> {
         f.debug_struct("MessageView")
             .field("header", &self.header)
             .field("counts", &self.counts)
+            .finish()
+    }
+}
+
+/// A received DNS message, kept in wire form.
+///
+/// Holds the payload exactly as it arrived — a [`Bytes`] shared by
+/// refcount with the packet that carried it, never copied — together with
+/// the header, section counts and section offsets its one validating parse
+/// computed. [`WireMessage::view`] hands out a [`MessageView`] over it
+/// without validating again, so a reply is parsed once on receive and then
+/// read in place by every verdict.
+///
+/// Equality is byte equality of the wire form.
+#[derive(Clone)]
+pub struct WireMessage {
+    bytes: Bytes,
+    header: Header,
+    counts: [u16; 4],
+    section_off: [usize; 4],
+}
+
+impl WireMessage {
+    /// Validates `bytes` as a DNS message (the [`MessageView::parse`]
+    /// rules) and keeps them. Allocation-free: the payload is moved in.
+    pub fn parse(bytes: Bytes) -> Result<WireMessage, ParseError> {
+        let view = MessageView::parse(&bytes)?;
+        let (header, counts, section_off) = (view.header, view.counts, view.section_off);
+        Ok(WireMessage { bytes, header, counts, section_off })
+    }
+
+    /// Encodes an owned message and keeps its wire form — how scripted
+    /// transports turn a built reply into what a real one would receive.
+    pub fn from_message(message: &Message) -> Result<WireMessage, BuildError> {
+        let bytes = Bytes::from(message.encode()?);
+        Ok(WireMessage::parse(bytes).expect("an encoded message parses"))
+    }
+
+    /// A borrowed view of the message. No validation and no allocation:
+    /// the offsets come from the parse that built this value.
+    pub fn view(&self) -> MessageView<'_> {
+        MessageView {
+            buf: &self.bytes,
+            header: self.header,
+            counts: self.counts,
+            section_off: self.section_off,
+        }
+    }
+
+    /// Decoded header.
+    pub fn header(&self) -> &Header {
+        &self.header
+    }
+
+    /// The wire bytes as received.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The same message with its transaction ID set to `id`, in the header
+    /// and on the wire. Free when the ID already matches; otherwise the
+    /// payload is copied once so the shared packet bytes stay untouched.
+    pub fn with_id(self, id: u16) -> WireMessage {
+        if id == self.header.id {
+            return self;
+        }
+        let mut wire = self.bytes.to_vec();
+        wire[..2].copy_from_slice(&id.to_be_bytes());
+        WireMessage { bytes: Bytes::from(wire), header: Header { id, ..self.header }, ..self }
+    }
+
+    /// The wire bytes, as an owned buffer — the same shape
+    /// [`Message::encode`] returns, so archivers treat both alike. Never
+    /// fails: the bytes were valid when received.
+    pub fn encode(&self) -> Result<Vec<u8>, BuildError> {
+        Ok(self.bytes.to_vec())
+    }
+}
+
+impl PartialEq for WireMessage {
+    fn eq(&self, other: &WireMessage) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for WireMessage {}
+
+impl fmt::Debug for WireMessage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WireMessage")
+            .field("header", &self.header)
+            .field("counts", &self.counts)
+            .field("len", &self.bytes.len())
             .finish()
     }
 }
@@ -273,12 +381,18 @@ pub struct RecordView<'a> {
     rdlength: u16,
 }
 
-impl RecordView<'_> {
+impl<'a> RecordView<'a> {
     /// Raw RDATA bytes as they appear on the wire. Note that RDATA of
     /// name-bearing types may contain compression pointers into the rest
     /// of the message; use [`RecordView::rdata`] for decoded data.
-    pub fn rdata_bytes(&self) -> &[u8] {
+    pub fn rdata_bytes(&self) -> &'a [u8] {
         &self.buf[self.rdata_off..self.rdata_off + self.rdlength as usize]
+    }
+
+    /// The character-strings, when this is a TXT record. Borrowed from the
+    /// message; allocation-free.
+    pub fn txt(&self) -> Option<TxtRef<'a>> {
+        (self.rtype == RType::Txt).then(|| TxtRef { rdata: self.rdata_bytes() })
     }
 
     /// Decodes the typed RDATA (allocates for the owned representation).
@@ -310,6 +424,75 @@ impl RecordView<'_> {
     /// Materializes an owned [`Record`].
     pub fn to_record(&self) -> Record {
         Record { name: self.name.to_name(), class: self.class, ttl: self.ttl, rdata: self.rdata() }
+    }
+}
+
+/// TXT RDATA read in place: its character-strings, and their
+/// concatenation — the text [`RData::txt_string`] would build, compared
+/// or copied here without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct TxtRef<'a> {
+    /// Validated at view parse: a run of length-prefixed strings that ends
+    /// exactly at the RDATA's end.
+    rdata: &'a [u8],
+}
+
+impl<'a> TxtRef<'a> {
+    /// The character-strings, in wire order.
+    fn strings(&self) -> impl Iterator<Item = &'a [u8]> + Clone {
+        let mut rest = self.rdata;
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (s, tail) = tail.split_at(len as usize);
+            rest = tail;
+            Some(s)
+        })
+    }
+
+    /// The strings' bytes, joined with nothing between them.
+    pub fn bytes(&self) -> impl Iterator<Item = u8> + Clone + 'a {
+        self.strings().flatten().copied()
+    }
+
+    /// Length of the joined text in bytes.
+    pub fn len(&self) -> usize {
+        self.strings().map(<[u8]>::len).sum()
+    }
+
+    /// True when the joined text is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True when the joined text starts with `prefix`.
+    pub fn starts_with(&self, prefix: &[u8]) -> bool {
+        self.len() >= prefix.len() && self.bytes().zip(prefix).all(|(b, &p)| b == p)
+    }
+
+    /// True when the joined text ends with `suffix`.
+    pub fn ends_with(&self, suffix: &[u8]) -> bool {
+        let len = self.len();
+        len >= suffix.len() && self.bytes().skip(len - suffix.len()).eq(suffix.iter().copied())
+    }
+
+    /// Copies the joined text into `buf`, or returns `None` when it does
+    /// not fit.
+    pub fn copy_into<'b>(&self, buf: &'b mut [u8]) -> Option<&'b [u8]> {
+        let out = buf.get_mut(..self.len())?;
+        for (slot, b) in out.iter_mut().zip(self.bytes()) {
+            *slot = b;
+        }
+        Some(out)
+    }
+
+    /// The joined text, lossily decoded as UTF-8: exactly
+    /// [`RData::txt_string`]'s result.
+    pub fn to_string_lossy(&self) -> String {
+        let mut strings = self.strings();
+        match (strings.next(), strings.next()) {
+            (Some(only), None) => String::from_utf8_lossy(only).into_owned(),
+            _ => String::from_utf8_lossy(&self.bytes().collect::<Vec<u8>>()).into_owned(),
+        }
     }
 }
 
@@ -430,6 +613,76 @@ mod tests {
         let mut padded = bytes.clone();
         padded.extend_from_slice(b"junk");
         assert!(MessageView::parse(&padded).is_ok());
+    }
+
+    #[test]
+    fn wire_message_keeps_the_received_bytes_and_their_parse() {
+        let query = Message::query(0x0102, q("id.server", RType::Txt));
+        let resp = Message::response_to(&query, Rcode::NoError)
+            .with_answer(Record::new("id.server".parse().unwrap(), 0, RData::txt("IAD")));
+        let bytes = resp.encode().unwrap();
+        let wire = WireMessage::parse(Bytes::from(bytes.clone())).unwrap();
+        assert_eq!(wire.as_bytes(), &bytes[..]);
+        assert_eq!(wire.encode().unwrap(), bytes);
+        assert_eq!(*wire.header(), resp.header);
+        assert_eq!(wire.view().to_message(), resp);
+        assert_eq!(WireMessage::from_message(&resp).unwrap(), wire);
+        assert_eq!(MessageView::parse(&bytes).unwrap().to_wire(), wire);
+        assert!(WireMessage::parse(Bytes::from(bytes[..bytes.len() - 1].to_vec())).is_err());
+    }
+
+    #[test]
+    fn with_id_patches_header_and_wire_alike() {
+        let query = Message::query(0x4242, q("example.com", RType::A));
+        let resp = Message::response_to(&query, Rcode::NoError);
+        let wire = WireMessage::from_message(&resp).unwrap();
+        let same = wire.clone().with_id(0x4242);
+        assert_eq!(same, wire);
+        let patched = wire.with_id(0xBEEF);
+        assert_eq!(patched.header().id, 0xBEEF);
+        assert_eq!(patched.view().header().id, 0xBEEF);
+        let encoded = patched.encode().unwrap();
+        assert_eq!(&encoded[..2], &[0xBE, 0xEF]);
+        assert_eq!(Message::parse(&encoded).unwrap().header.id, 0xBEEF);
+    }
+
+    #[test]
+    fn txt_ref_joins_like_txt_string() {
+        let query = Message::query(5, q("t.example", RType::Txt));
+        let texts: [Vec<Vec<u8>>; 4] = [
+            vec![b"res100.iad".to_vec(), b".rrdns.pch.net".to_vec()],
+            vec![vec![]],
+            vec![b"ok".to_vec(), vec![0xFF, b'x'], vec![0x80]],
+            vec![b"single".to_vec()],
+        ];
+        for parts in texts {
+            let rdata = RData::Txt(parts.clone());
+            let resp = Message::response_to(&query, Rcode::NoError)
+                .with_answer(Record::new("t.example".parse().unwrap(), 0, rdata.clone()));
+            let bytes = resp.encode().unwrap();
+            let view = MessageView::parse(&bytes).unwrap();
+            let txt = view.answers().next().unwrap().txt().expect("a TXT record");
+            let joined: Vec<u8> = parts.concat();
+            assert_eq!(txt.to_string_lossy(), rdata.txt_string().unwrap());
+            assert_eq!(txt.len(), joined.len());
+            assert_eq!(txt.bytes().collect::<Vec<u8>>(), joined);
+            for n in 0..=joined.len() {
+                assert!(txt.starts_with(&joined[..n]));
+                assert!(txt.ends_with(&joined[n..]));
+            }
+            assert!(!txt.starts_with(&[joined.as_slice(), b"!"].concat()));
+            let mut buf = [0u8; 64];
+            assert_eq!(txt.copy_into(&mut buf), Some(&joined[..]));
+            let short = joined.len().saturating_sub(1);
+            assert_eq!(txt.copy_into(&mut buf[..short]).is_some(), joined.is_empty());
+        }
+        let a = Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
+            "t.example".parse().unwrap(),
+            0,
+            RData::A(Ipv4Addr::new(1, 2, 3, 4)),
+        ));
+        let bytes = a.encode().unwrap();
+        assert!(MessageView::parse(&bytes).unwrap().answers().next().unwrap().txt().is_none());
     }
 
     #[test]

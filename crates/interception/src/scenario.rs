@@ -634,19 +634,19 @@ fn brand_egress(brand: PublicBrand) -> (Ipv4Addr, Ipv6Addr) {
     match brand {
         PublicBrand::Cloudflare => (
             Ipv4Addr::new(172, 68, 1, 1),
-            "2400:cb00::1".parse().expect("static address"),
+            Ipv6Addr::new(0x2400, 0xcb00, 0, 0, 0, 0, 0, 1),
         ),
         PublicBrand::Google => (
             Ipv4Addr::new(172, 253, 226, 35),
-            "2404:6800::35".parse().expect("static address"),
+            Ipv6Addr::new(0x2404, 0x6800, 0, 0, 0, 0, 0, 0x35),
         ),
         PublicBrand::Quad9 => (
             Ipv4Addr::new(74, 63, 16, 10),
-            "2620:171::10".parse().expect("static address"),
+            Ipv6Addr::new(0x2620, 0x171, 0, 0, 0, 0, 0, 0x10),
         ),
         PublicBrand::OpenDns => (
             Ipv4Addr::new(146, 112, 1, 1),
-            "2a04:e4c0::1".parse().expect("static address"),
+            Ipv6Addr::new(0x2a04, 0xe4c0, 0, 0, 0, 0, 0, 1),
         ),
     }
 }
@@ -999,11 +999,11 @@ impl HomeScenario {
         });
 
         let alt_resolver_node = if alt_resolver_needed {
-            let alt_addr: IpAddr = "185.194.112.32".parse().expect("static address");
+            let alt_addr = IpAddr::V4(Ipv4Addr::new(185, 194, 112, 32));
             let node = sim.add_device(RecursiveResolver::boxed(
                 "alt-resolver",
                 [alt_addr],
-                ResolveCtx::v4("185.194.112.33".parse().expect("static address")),
+                ResolveCtx::v4(Ipv4Addr::new(185, 194, 112, 33)),
                 Arc::clone(&zonedb),
                 SoftwareProfile::unbound("1.9.0"),
             ));
@@ -1041,7 +1041,7 @@ impl HomeScenario {
                 let client = sim.add_device(crate::background::BackgroundClient::boxed(
                     format!("iot-{i}"),
                     IpAddr::V4(addr),
-                    "8.8.8.8".parse().expect("static address"),
+                    IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)),
                     vec![
                         "example.com".parse().expect("static name"),
                         "www.example.com".parse().expect("static name"),

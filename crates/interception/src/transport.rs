@@ -17,7 +17,7 @@
 
 use crate::scenario::BuiltScenario;
 use crate::timing::{ProbeTimingLog, SCAN_PHASE};
-use dns_wire::{Message, MessageView, QueryEncoder, Question};
+use dns_wire::{QueryEncoder, Question, WireMessage};
 use locator::{QueryOptions, QueryOutcome, QueryTransport, Step};
 use netsim::{Delivery, Host, IfaceId, IpPacket, SimDuration, SimTime};
 use std::net::IpAddr;
@@ -192,19 +192,19 @@ impl SimTransport {
         // that, the first right-txid reply from any other address, so a
         // properly sourced answer later in the inbox still wins, as it
         // would on a real unconnected socket.
-        let mut accepted: Option<(Message, SimTime)> = None;
-        let mut mismatch: Option<(Message, IpAddr, SimTime)> = None;
+        let mut accepted: Option<(WireMessage, SimTime)> = None;
+        let mut mismatch: Option<(WireMessage, IpAddr, SimTime)> = None;
         for d in &self.inbox {
             let Some(udp) = d.packet.udp_payload() else { continue };
             if udp.dst_port != sport || udp.src_port != 53 {
                 continue;
             }
-            // Zero-copy filter: validate the wire and check id/qr on the
-            // borrowed view; only a reply that passes is materialized into
-            // an owned Message.
-            let Ok(view) = MessageView::parse(&udp.payload) else { continue };
-            let id = view.header().id ^ self.corrupt_response_txid_xor;
-            if id != txid || !view.header().qr {
+            // Zero-copy filter: validate the wire once and check id/qr on
+            // the parsed header. The reply shares the packet's payload by
+            // refcount; the verdicts read it in place.
+            let Ok(reply) = WireMessage::parse(udp.payload.clone()) else { continue };
+            let id = reply.header().id ^ self.corrupt_response_txid_xor;
+            if id != txid || !reply.header().qr {
                 continue;
             }
             // Source-address match: the stub only accepts replies that claim
@@ -213,8 +213,7 @@ impl SimTransport {
             // surfaced, not silently dropped.
             let from_server = d.packet.src() == server;
             if from_server || mismatch.is_none() {
-                let mut resp = view.to_message();
-                resp.header.id = id;
+                let resp = reply.with_id(id);
                 if from_server {
                     accepted = Some((resp, d.at));
                     break;
@@ -288,7 +287,7 @@ impl QueryTransport for SimTransport {
 mod tests {
     use super::*;
     use crate::scenario::HomeScenario;
-    use dns_wire::{RData, RType};
+    use dns_wire::RType;
     use locator::{default_resolvers, query_with_retry, TxidSequence};
 
     fn opts() -> QueryOptions {
@@ -326,8 +325,9 @@ mod tests {
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         let out = t.query("8.8.8.8".parse().unwrap(), &q, 0x2000, opts());
         let msg = out.response().expect("response");
-        assert_eq!(msg.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
-        assert_eq!(msg.header.id, 0x2000);
+        let answer = msg.view().answers().next().expect("one answer");
+        assert_eq!(answer.a_addr(), Some("93.184.216.34".parse().unwrap()));
+        assert_eq!(msg.header().id, 0x2000);
     }
 
     #[test]

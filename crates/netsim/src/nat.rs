@@ -208,6 +208,12 @@ impl Hasher for TupleHasher {
     }
 }
 
+/// Conntrack entries reserved at a NAT's first translation: about what a
+/// home gateway holds over one probe's measurement (one flow per v4
+/// query), so the table is allocated once instead of growing through
+/// three rehashes.
+const CONNTRACK_RESERVE: usize = 14;
+
 /// A stateful NAT engine combining optional DNAT rules and optional
 /// masquerade, with conntrack for reply translation.
 #[derive(Debug)]
@@ -320,6 +326,9 @@ impl NatEngine {
         if dnat_applied || snat_applied {
             let translated = FlowTuple::of(&pkt);
             let entry = ConntrackEntry { original, last_seen: now };
+            if self.conntrack.capacity() == 0 {
+                self.conntrack.reserve(CONNTRACK_RESERVE);
+            }
             self.conntrack.insert(translated.reply(), entry);
         }
 

@@ -108,11 +108,14 @@ impl FromStr for Cidr {
 
 /// A longest-prefix-match routing table mapping prefixes to interfaces.
 ///
-/// Tables are small (a handful of routes per simulated router), so the
-/// implementation is a plain sorted scan — simple and obviously correct, per
-/// the smoltcp philosophy.
+/// Tables are small (a handful of routes per simulated router, a few dozen
+/// host routes in the Internet core), so the implementation is a sorted
+/// scan — simple and obviously correct, per the smoltcp philosophy. Routes
+/// are kept longest prefix first, so a lookup stops at the first match.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
+    /// Ordered by prefix length, longest first; among equal lengths the
+    /// most recently added comes first.
     routes: Vec<(Cidr, IfaceId)>,
 }
 
@@ -124,7 +127,9 @@ impl RouteTable {
 
     /// Adds a route. Later additions win ties on prefix length.
     pub fn add(&mut self, prefix: Cidr, iface: IfaceId) -> &mut Self {
-        self.routes.push((prefix, iface));
+        let len = prefix.prefix_len();
+        let at = self.routes.partition_point(|(p, _)| p.prefix_len() > len);
+        self.routes.insert(at, (prefix, iface));
         self
     }
 
@@ -138,16 +143,10 @@ impl RouteTable {
         self.add(Cidr::v6(Ipv6Addr::UNSPECIFIED, 0), iface)
     }
 
-    /// Longest-prefix-match lookup. `None` means no route (drop).
+    /// Longest-prefix-match lookup. `None` means no route (drop). The
+    /// table's order makes the first matching route the answer.
     pub fn lookup(&self, dst: IpAddr) -> Option<IfaceId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, (p, _))| p.contains(dst))
-            // max_by_key keeps the *last* maximum, so later-added routes win
-            // ties — documented in `add`.
-            .max_by_key(|(idx, (p, _))| (p.prefix_len(), *idx))
-            .map(|(_, (_, iface))| *iface)
+        self.routes.iter().find(|(p, _)| p.contains(dst)).map(|(_, iface)| *iface)
     }
 
     /// Number of routes installed.

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use netsim::{Cidr, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SimTime};
 use proptest::prelude::*;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 fn arb_v4() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(Ipv4Addr::from)
@@ -11,6 +11,49 @@ fn arb_v4() -> impl Strategy<Value = Ipv4Addr> {
 
 fn arb_cidr_v4() -> impl Strategy<Value = Cidr> {
     (arb_v4(), 0u8..=32).prop_map(|(a, p)| Cidr::v4(a, p))
+}
+
+/// Addresses from a deliberately tiny space, so generated routes overlap,
+/// repeat exactly, and actually match the generated destinations.
+fn arb_small_ip() -> impl Strategy<Value = IpAddr> {
+    prop_oneof![
+        (0u8..3, 0u8..3).prop_map(|(a, b)| IpAddr::V4(Ipv4Addr::new(10, a, 0, b))),
+        (0u16..3, 0u16..3)
+            .prop_map(|(a, b)| IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, a, 0, 0, 0, 0, b))),
+    ]
+}
+
+/// One `RouteTable` insertion: a prefix over the tiny space (host routes
+/// included) or either family's default route.
+#[derive(Debug, Clone, Copy)]
+enum RouteOp {
+    Prefix(Cidr),
+    DefaultV4,
+    DefaultV6,
+}
+
+fn arb_route_op() -> impl Strategy<Value = RouteOp> {
+    // Six slots: four prefixes to each default route.
+    (arb_small_ip(), 0u8..=4, 0u8..6).prop_map(|(ip, step, slot)| match slot {
+        4 => RouteOp::DefaultV4,
+        5 => RouteOp::DefaultV6,
+        _ => RouteOp::Prefix(match ip {
+            IpAddr::V4(a) => Cidr::v4(a, [0, 8, 16, 24, 32][step as usize]),
+            IpAddr::V6(a) => Cidr::v6(a, [0, 32, 48, 64, 128][step as usize]),
+        }),
+    })
+}
+
+/// The original lookup rule, kept here as the oracle: among every
+/// matching route take the longest prefix, and among equal lengths the
+/// one added last.
+fn oracle_lookup(routes: &[(Cidr, netsim::IfaceId)], dst: IpAddr) -> Option<netsim::IfaceId> {
+    routes
+        .iter()
+        .enumerate()
+        .filter(|(_, (p, _))| p.contains(dst))
+        .max_by_key(|(idx, (p, _))| (p.prefix_len(), *idx))
+        .map(|(_, (_, iface))| *iface)
 }
 
 proptest! {
@@ -53,6 +96,38 @@ proptest! {
             None => {
                 prop_assert!(!routes.iter().any(|(c, _)| c.contains(dst)));
             }
+        }
+    }
+
+    #[test]
+    fn route_lookup_agrees_with_filter_and_max_oracle(
+        ops in proptest::collection::vec((arb_route_op(), 0usize..6), 0..48),
+        dsts in proptest::collection::vec(arb_small_ip(), 1..16),
+    ) {
+        let mut table = RouteTable::new();
+        let mut added = Vec::new();
+        for (op, iface) in ops {
+            let iface = netsim::IfaceId(iface);
+            let cidr = match op {
+                RouteOp::Prefix(c) => {
+                    table.add(c, iface);
+                    c
+                }
+                RouteOp::DefaultV4 => {
+                    table.add_default_v4(iface);
+                    Cidr::v4(Ipv4Addr::UNSPECIFIED, 0)
+                }
+                RouteOp::DefaultV6 => {
+                    table.add_default_v6(iface);
+                    Cidr::v6(Ipv6Addr::UNSPECIFIED, 0)
+                }
+            };
+            added.push((cidr, iface));
+        }
+        prop_assert_eq!(table.len(), added.len());
+        for dst in dsts {
+            let (got, want) = (table.lookup(dst), oracle_lookup(&added, dst));
+            prop_assert!(got == want, "dst {dst}: table {got:?}, oracle {want:?}");
         }
     }
 

@@ -10,9 +10,17 @@ use dns_wire::{
 };
 use netsim::{Ctx, Device, IfaceId, IpPacket};
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
+
+thread_local! {
+    /// Reply scratch shared by every site on this thread. Worlds are
+    /// rebuilt for each probe, so a per-site buffer would be allocated anew
+    /// in every world; a per-thread one is warm from the second reply on.
+    static REPLY_SCRATCH: Cell<EncodeScratch> = Cell::new(EncodeScratch::new());
+}
 
 /// Which public resolver a site belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,7 +60,6 @@ pub struct PublicResolverSite {
     pub dnssec_validating: bool,
     /// Total queries handled.
     pub queries_handled: u64,
-    scratch: EncodeScratch,
 }
 
 impl PublicResolverSite {
@@ -77,7 +84,6 @@ impl PublicResolverSite {
             // not.
             dnssec_validating: brand != PublicBrand::OpenDns,
             queries_handled: 0,
-            scratch: EncodeScratch::new(),
         }
     }
 
@@ -159,7 +165,7 @@ impl Device for PublicResolverSite {
         let Some(q) = query.question() else { return };
         self.queries_handled += 1;
 
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = REPLY_SCRATCH.take();
         let mut reply = ReplyWriter::new(&mut scratch, &query, Rcode::NoError);
         self.answer(&mut reply, &q);
         if let Ok(wire) = reply.finish() {
@@ -168,7 +174,7 @@ impl Device for PublicResolverSite {
                 ctx.send(iface, reply);
             }
         }
-        self.scratch = scratch;
+        REPLY_SCRATCH.set(scratch);
     }
 
     fn name(&self) -> &str {

@@ -135,12 +135,16 @@ fn replication_is_detected_as_interception() {
     sim.run_to_quiescence();
     let inbox = sim.device_mut::<Host>(client).unwrap().drain_inbox();
     assert_eq!(inbox.len(), 2, "original + replica both answered");
-    let first = Message::parse(&inbox[0].packet.udp_payload().unwrap().payload).unwrap();
+    let reply = |i: usize| {
+        dns_wire::WireMessage::parse(inbox[i].packet.udp_payload().unwrap().payload.clone())
+            .unwrap()
+    };
+    let first = reply(0);
     // The first-arriving answer is the interceptor's — non-standard.
     let cloudflare = &default_resolvers()[0];
     assert!(!cloudflare.is_standard_location_response(&first));
     // The late genuine answer would have been standard.
-    let second = Message::parse(&inbox[1].packet.udp_payload().unwrap().payload).unwrap();
+    let second = reply(1);
     assert!(cloudflare.is_standard_location_response(&second));
 }
 
@@ -222,7 +226,7 @@ fn iterative_resolver_fidelity_mode_reproduces_verdicts() {
 
 #[test]
 fn iterative_mode_whoami_reflects_isp_egress_under_interception() {
-    use dns_wire::{Question, RData, RType};
+    use dns_wire::{Question, RType};
     let scenario = HomeScenario {
         iterative_isp_resolver: true,
         ..HomeScenario::xb6_case_study()
@@ -235,8 +239,8 @@ fn iterative_mode_whoami_reflects_isp_egress_under_interception() {
     let out = transport.query("8.8.8.8".parse().unwrap(), &q, 0x2000, QueryOptions::default());
     let resp = out.response().expect("answered by the interceptor");
     assert_eq!(
-        resp.answers[0].rdata,
-        RData::A("75.75.75.10".parse().unwrap()),
+        resp.view().answers().next().and_then(|r| r.a_addr()),
+        Some("75.75.75.10".parse().unwrap()),
         "the ISP resolver's true egress, seen by the authoritative"
     );
 }
